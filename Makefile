@@ -39,16 +39,17 @@ check: vet
 ci: build check race-hot bench-check replay-gate doctor-gate serve-gate carbon-gate flight-gate doc-check
 
 # Focused race pass over the packages with deliberate concurrency around
-# shared state: the sweep cache's single-flight map in internal/experiments
-# and the power-aware block cache. `check` already races everything; this
-# target re-runs the two at higher -count to shake out rare interleavings,
+# shared state: the sweep cache's single-flight map in internal/experiments,
+# the power-aware block cache, and the serving engine's flat combining and
+# Sequential sequencer. `check` already races everything; this target
+# re-runs the three at higher -count to shake out rare interleavings,
 # then drives the sharded kernel's determinism suite — byte-identical
 # traces, state logs and figure output across shard counts, the
 # calendar-queue/heap equivalence property, and a small multi-shard fleet
 # sweep — under -race, where a missed epoch barrier shows up as a data
 # race and a missed event shows up as a byte diff.
 race-hot:
-	$(GO) test -race -count 4 ./internal/experiments ./internal/cache
+	$(GO) test -race -count 4 ./internal/experiments ./internal/cache ./internal/serve
 	$(GO) test -race -count 2 -run 'TestSharded|TestCalendar|TestFreeRun|TestShardOf|TestShardsValidate|TestFleet' ./internal/simkernel ./internal/storage
 	$(GO) test -race -count 1 -run 'TestFigureOutputShardInvariant|TestScaleValidateShards' ./internal/experiments
 

@@ -212,6 +212,18 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Signal handlers go in before the listener opens: once /healthz
+	// answers or -addrfile exists, a SIGTERM must drain, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
+	defer signal.Stop(sig)
+	var quit chan os.Signal
+	if rec != nil {
+		// SIGQUIT freezes the flight recorder's window without draining.
+		quit = make(chan os.Signal, 1)
+		signal.Notify(quit, syscall.SIGQUIT)
+		defer signal.Stop(quit)
+	}
 	srv := serve.NewServer(eng, col)
 	bound, shutdown, err := srv.Serve(*addr)
 	if err != nil {
@@ -225,14 +237,6 @@ func runServe(args []string) error {
 	fmt.Fprintf(os.Stderr, "eschedd: serving on %s (%d disks, %d blocks, rf=%d, mode=%s, shards=%d)\n",
 		bound, *disks, *blocks, *rf, *mode, *shards)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
-	var quit chan os.Signal
-	if rec != nil {
-		// SIGQUIT freezes the flight recorder's window without draining.
-		quit = make(chan os.Signal, 1)
-		signal.Notify(quit, syscall.SIGQUIT)
-	}
 	var s os.Signal
 wait:
 	for {

@@ -10,25 +10,45 @@ import (
 // independent set problem. Vertices are 0..N-1; parallel edges are
 // deduplicated and self-loops are rejected.
 //
-// Edges accumulate in a flat buffer and are compiled on first query into a
-// CSR (compressed sparse row) adjacency: one offsets array and one shared
-// neighbor array, with each vertex's neighbors sorted ascending. The layout
-// replaces the per-edge dedup map and per-vertex append churn of the
-// previous implementation — graph construction is two passes over a sorted
-// edge list, and adjacency scans are contiguous. Finalize compiles
-// explicitly; reads after Finalize (and no further AddEdge calls) are safe
-// from concurrent goroutines.
+// A graph has one of two adjacency sources:
+//
+//   - Stored edges. AddEdge appends to a flat buffer that is compiled on
+//     first query into a CSR (compressed sparse row) adjacency: one offsets
+//     array and one shared neighbor array, with each vertex's neighbors
+//     sorted ascending.
+//   - An implicit Adjacency (NewImplicitGraph), which derives a vertex's
+//     neighbors on demand from a compact index. GWMIN, Degree and M read it
+//     directly; the queries that need sorted neighbor lists (Neighbors,
+//     HasEdge, the exact and component solvers) compile it into the same
+//     CSR first.
+//
+// Finalize compiles explicitly; reads after Finalize (and no further
+// AddEdge calls) are safe from concurrent goroutines. GWMIN never writes
+// to an implicit graph, so it may run concurrently on one without
+// Finalize.
 type Graph struct {
 	weights []float64
 	// pend holds every inserted edge as uint64(u)<<32|v with u < v.
 	// Finalize sorts and deduplicates it in place; it remains the source
 	// of truth so AddEdge after Finalize just marks the CSR dirty.
 	pend []uint64
-	// CSR adjacency, valid while !dirty.
+	// adj, when set, is the implicit adjacency and pend stays empty.
+	adj Adjacency
+	// CSR adjacency, valid while off != nil && !dirty.
 	off   []int32
 	nbr   []int32
 	edges int
 	dirty bool
+}
+
+// Adjacency is an implicit neighbor source: the edges are a function of a
+// compact index rather than a stored list.
+type Adjacency interface {
+	// Degree returns v's number of neighbors.
+	Degree(v int) int
+	// AppendNeighbors appends each of v's neighbors to dst exactly once,
+	// in any order, and returns the extended slice.
+	AppendNeighbors(dst []int32, v int) []int32
 }
 
 // NewGraph returns a graph with n vertices of weight zero and no edges.
@@ -36,11 +56,29 @@ func NewGraph(n int) *Graph {
 	return &Graph{weights: make([]float64, n)}
 }
 
+// NewImplicitGraph returns a graph with n vertices of weight zero whose
+// edges are adj's. The edge count is the degree sum over two; AddEdge
+// panics on such a graph.
+func NewImplicitGraph(n int, adj Adjacency) *Graph {
+	g := &Graph{weights: make([]float64, n), adj: adj}
+	sum := 0
+	for v := 0; v < n; v++ {
+		sum += adj.Degree(v)
+	}
+	g.edges = sum / 2
+	return g
+}
+
 // N returns the number of vertices.
 func (g *Graph) N() int { return len(g.weights) }
 
 // M returns the number of distinct edges.
-func (g *Graph) M() int { g.Finalize(); return g.edges }
+func (g *Graph) M() int {
+	if g.adj == nil {
+		g.Finalize()
+	}
+	return g.edges
+}
 
 // SetWeight assigns vertex v's weight.
 func (g *Graph) SetWeight(v int, w float64) {
@@ -55,6 +93,9 @@ func (g *Graph) Weight(v int) float64 { return g.weights[v] }
 
 // Degree returns the number of neighbors of v.
 func (g *Graph) Degree(v int) int {
+	if g.adj != nil {
+		return g.adj.Degree(v)
+	}
 	g.Finalize()
 	return int(g.off[v+1] - g.off[v])
 }
@@ -66,9 +107,23 @@ func (g *Graph) Neighbors(v int) []int32 {
 	return g.nbr[g.off[v]:g.off[v+1]]
 }
 
+// adjacent returns v's neighbors in the source's own order: the CSR row
+// when the graph has one, else the implicit adjacency's scan into *buf.
+// CSR graphs must be finalized by the caller.
+func (g *Graph) adjacent(v int, buf *[]int32) []int32 {
+	if g.off == nil && g.adj != nil {
+		*buf = g.adj.AppendNeighbors((*buf)[:0], v)
+		return *buf
+	}
+	return g.nbr[g.off[v]:g.off[v+1]]
+}
+
 // AddEdge inserts the undirected edge {u,v}. Duplicate edges are ignored;
 // self-loops panic (a vertex cannot conflict with itself in the reduction).
 func (g *Graph) AddEdge(u, v int) {
+	if g.adj != nil {
+		panic("graph: AddEdge on an implicit graph")
+	}
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop on vertex %d", u))
 	}
@@ -80,8 +135,7 @@ func (g *Graph) AddEdge(u, v int) {
 }
 
 // Grow reserves capacity for n additional edges, so bulk construction
-// (e.g. the offline reduction's counted edge expansion) appends with no
-// reallocation.
+// appends with no reallocation.
 func (g *Graph) Grow(n int) {
 	g.pend = slices.Grow(g.pend, n)
 }
@@ -91,12 +145,15 @@ func (g *Graph) Grow(n int) {
 // the graph across goroutines so concurrent reads race-free.
 //
 // Edges are bucketed per endpoint with one counting pass and one scatter
-// pass, then each vertex's bucket is sorted and deduplicated in place. On
-// the window-bounded scheduling graphs adjacency lists are short, so the
-// per-bucket sorts are cheap insertion sorts and the whole compile touches
-// the edge buffer twice — cheaper than sorting it globally.
+// pass, then each vertex's bucket is sorted and deduplicated in place, so
+// the compile touches the edge buffer twice — cheaper than sorting it
+// globally. An implicit graph is compiled from its adjacency instead.
 func (g *Graph) Finalize() {
 	if !g.dirty && g.off != nil {
+		return
+	}
+	if g.adj != nil {
+		g.compileImplicit()
 		return
 	}
 	n := len(g.weights)
@@ -137,11 +194,10 @@ func (g *Graph) Finalize() {
 	// already-consumed entries.
 	var w int32
 	start := int32(0)
-	var scratch []int32
 	for v := 0; v < n; v++ {
 		end := g.off[v+1]
-		scratch = sortBucket(g.nbr[start:end], scratch)
 		seg := g.nbr[start:end]
+		slices.Sort(seg)
 		g.off[v] = w
 		last := int32(-1)
 		for _, x := range seg {
@@ -159,53 +215,23 @@ func (g *Graph) Finalize() {
 	g.dirty = false
 }
 
-// sortBucket sorts one adjacency bucket, returning the (possibly grown)
-// scratch buffer for reuse. Buckets filled from an ordered edge stream —
-// the offline reduction emits each request range's pairs in ascending
-// order, giving every vertex at most two sorted runs — are recognized in
-// one scan and fixed with a linear two-run merge; arbitrary insertion
-// orders fall back to a comparison sort.
-func sortBucket(a []int32, scratch []int32) []int32 {
-	k := -1
-	for i := 1; i < len(a); i++ {
-		if a[i] < a[i-1] {
-			k = i
-			break
+// compileImplicit fills the CSR from the implicit adjacency: rows are
+// sized by Degree, filled in place by AppendNeighbors and sorted.
+func (g *Graph) compileImplicit() {
+	n := len(g.weights)
+	off := make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		off[v+1] = off[v] + int32(g.adj.Degree(v))
+	}
+	nbr := make([]int32, off[n])
+	for v := 0; v < n; v++ {
+		row := g.adj.AppendNeighbors(nbr[off[v]:off[v]:off[v+1]], v)
+		if len(row) != int(off[v+1]-off[v]) {
+			panic(fmt.Sprintf("graph: vertex %d lists %d neighbors but has degree %d", v, len(row), off[v+1]-off[v]))
 		}
+		slices.Sort(row)
 	}
-	if k < 0 {
-		return scratch // already sorted
-	}
-	twoRuns := true
-	for i := k + 1; i < len(a); i++ {
-		if a[i] < a[i-1] {
-			twoRuns = false
-			break
-		}
-	}
-	if !twoRuns {
-		slices.Sort(a)
-		return scratch
-	}
-	// Merge the runs a[:k] and a[k:]; only the first run needs staging.
-	scratch = append(scratch[:0], a[:k]...)
-	i, j, w := 0, k, 0
-	for i < len(scratch) && j < len(a) {
-		if scratch[i] <= a[j] {
-			a[w] = scratch[i]
-			i++
-		} else {
-			a[w] = a[j]
-			j++
-		}
-		w++
-	}
-	for i < len(scratch) {
-		a[w] = scratch[i]
-		i++
-		w++
-	}
-	return scratch
+	g.off, g.nbr = off, nbr
 }
 
 // HasEdge reports whether {u,v} is an edge.
@@ -247,122 +273,27 @@ func (g *Graph) SetWeightSum(vs []int) float64 {
 	return total
 }
 
-// ratioItem is a lazy max-heap entry keyed by a selection ratio. Entries go
-// stale when deletions change a vertex's degree or neighborhood weight; a
-// stale pop is re-keyed and reinserted (ratios only grow as the graph
-// shrinks, so the first fresh pop is the true maximum).
-type ratioItem struct {
-	v     int
-	ratio float64
-	stamp int64 // value of the vertex's version counter when keyed
-}
-
-// ratioHeap is a concrete binary max-heap ordered by (ratio desc, v asc).
-// The comparison is a strict total order over live entries, so the pop
-// sequence — and therefore every greedy selection — is independent of the
-// heap's internal layout. Hand-rolled rather than container/heap to avoid
-// interface dispatch on the greedy's hottest loop.
-type ratioHeap []ratioItem
-
-func (h ratioHeap) less(i, j int) bool {
-	if h[i].ratio != h[j].ratio {
-		return h[i].ratio > h[j].ratio // max-heap
-	}
-	return h[i].v < h[j].v
-}
-
-func (h ratioHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h ratioHeap) down(i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && h.less(r, l) {
-			m = r
-		}
-		if !h.less(m, i) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-func (h ratioHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func (h *ratioHeap) pop() ratioItem {
-	old := *h
-	it := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	(*h).down(0)
-	return it
-}
-
-func (h *ratioHeap) push(it ratioItem) {
-	*h = append(*h, it)
-	h.up(len(*h) - 1)
-}
-
 // GWMIN is the greedy of Sakai, Togasaki and Yamazaki [22] used by the
-// paper's offline scheduler: repeatedly select the vertex maximizing
-// W(u)/(deg(u)+1) in the remaining graph. It guarantees an independent set
-// of weight at least Sum_v W(v)/(deg(v)+1).
+// paper's offline scheduler, selecting by W(u)/(deg(u)+1). It guarantees
+// an independent set of weight at least Sum_v W(v)/(deg(v)+1).
 //
-// Residual degrees need no bookkeeping of their own: the greedy's version
-// counter increments exactly once per alive neighbor lost, so the residual
-// degree is the initial degree minus the vertex's version. Re-keying a
-// stale heap entry is therefore O(1), and the computed ratios — hence the
-// selected set — are bit-identical to a recomputing implementation
-// (integer arithmetic feeding the same division).
+// Unlike [22], which re-evaluates deg(u) in the remaining graph after each
+// selection, the ratios here are those of the full graph (see greedy); the
+// reproduction's figures were recorded with this selection. The bound still
+// holds: a selection deletes at most deg(u)+1 vertices, none ranked above u.
 func GWMIN(g *Graph) ([]int, float64) {
-	g.Finalize()
-	n := g.N()
-	alive := make([]bool, n)
-	for v := 0; v < n; v++ {
-		alive[v] = true
-	}
-	version := make([]int64, n)
-	return greedyWithAlive(g, alive, version, func(v int) float64 {
-		deg := int64(g.off[v+1]-g.off[v]) - version[v]
-		return g.weights[v] / float64(deg+1)
-	})
+	return greedy(g, func(v int) float64 { return g.weights[v] / float64(g.Degree(v)+1) })
 }
 
-// GWMIN2 is the second greedy from [22]: select the vertex maximizing
+// GWMIN2 is the second greedy from [22], selecting by
 // W(u) / Sum_{x in N[u]} W(x). It often beats GWMIN on weight-skewed graphs.
-//
-// The closed-neighborhood weight sum is recomputed per query (not maintained
-// by subtraction) so the floating-point ratios match a from-scratch
-// evaluation exactly, keeping results reproducible across refactors.
+// The closed-neighborhood sum runs over the sorted adjacency, so the
+// floating-point ratios are reproducible across refactors.
 func GWMIN2(g *Graph) ([]int, float64) {
-	alive := make([]bool, g.N())
-	for i := range alive {
-		alive[i] = true
-	}
-	return greedyWithAlive(g, alive, make([]int64, g.N()), func(v int) float64 {
+	return greedy(g, func(v int) float64 {
 		sum := g.weights[v]
 		for _, u := range g.Neighbors(v) {
-			if alive[u] {
-				sum += g.weights[u]
-			}
+			sum += g.weights[u]
 		}
 		if sum == 0 {
 			return math.Inf(1) // zero-weight isolated vertex: free to take
@@ -371,51 +302,45 @@ func GWMIN2(g *Graph) ([]int, float64) {
 	})
 }
 
-// greedyWithAlive runs a degree-driven greedy: repeatedly select the alive
-// vertex maximizing ratio(v), add it to the independent set, and delete it
-// with its closed neighborhood. ratio must be non-decreasing under vertex
-// deletions (true for GWMIN and GWMIN2), which keeps the lazy max-heap
-// exact: a stale pop is re-keyed and reinserted with a ratio at least as
-// large. version, caller-allocated with one counter per vertex, increments
-// each time an alive vertex loses an alive neighbor; the ratio closure may
-// read it to derive incremental state (GWMIN's residual degrees).
-func greedyWithAlive(g *Graph, alive []bool, version []int64, ratio func(v int) float64) ([]int, float64) {
-	g.Finalize()
-	n := g.N()
-	h := make(ratioHeap, 0, n)
-	for v := 0; v < n; v++ {
-		h = append(h, ratioItem{v: v, ratio: ratio(v)})
+// greedy visits the vertices by (ratio desc, v asc), ratios taken in the
+// full graph, and selects each vertex no earlier selection has deleted,
+// deleting its neighbors. The order is total, so the selection does not
+// depend on the sort's internals.
+//
+// Ranking once selects exactly what a lazy max-heap that re-keys each
+// popped vertex from the remaining graph would: both ratios only grow as
+// vertices are deleted (fewer neighbors, a smaller neighborhood sum; float
+// addition of non-negative terms and division are monotone), so a
+// re-keyed vertex is still the maximum and is taken at once. Neither
+// re-ranks the vertices not yet popped, as Sakai et al.'s GWMIN does.
+func greedy(g *Graph, ratio func(v int) float64) ([]int, float64) {
+	if g.adj == nil {
+		g.Finalize()
 	}
-	h.init()
-
-	deleteVertex := func(v int) {
-		alive[v] = false
-		for _, u := range g.Neighbors(v) {
-			if alive[u] {
-				version[u]++
-			}
+	order := make([]rankedVertex, g.N())
+	for v := range order {
+		r := ratio(v)
+		if r == 0 {
+			r = 0 // -0 from a -0 weight ranks as +0
 		}
+		// Ratios are non-negative, whose IEEE bits order like their
+		// values; complemented, an ascending sort puts the largest first.
+		order[v] = rankedVertex{key: ^math.Float64bits(r), v: int32(v)}
 	}
-
+	sortRanked(order)
+	deleted := make([]bool, g.N())
+	var buf []int32
 	var is []int
 	total := 0.0
-	for len(h) > 0 {
-		it := h.pop()
-		if !alive[it.v] {
+	for _, it := range order {
+		v := int(it.v)
+		if deleted[v] {
 			continue
 		}
-		if it.stamp != version[it.v] {
-			h.push(ratioItem{v: it.v, ratio: ratio(it.v), stamp: version[it.v]})
-			continue
-		}
-		is = append(is, it.v)
-		total += g.weights[it.v]
-		neighbors := g.Neighbors(it.v)
-		deleteVertex(it.v)
-		for _, u := range neighbors {
-			if alive[u] {
-				deleteVertex(int(u))
-			}
+		is = append(is, v)
+		total += g.weights[v]
+		for _, u := range g.adjacent(v, &buf) {
+			deleted[u] = true
 		}
 	}
 	return is, total

@@ -1,34 +1,32 @@
 package graph
 
-import "slices"
+// rankedVertex is a vertex with its greedy rank key.
+type rankedVertex struct {
+	key uint64
+	v   int32
+}
 
-// RadixSortUint64 sorts a ascending with an LSD byte-wise radix sort,
-// falling back to comparison sorting for small inputs. The packed-key
-// buffers of the MWIS pipeline (edge lists, (request, vertex) mention
-// runs) are uniform uint64 keys, where counting passes beat pdqsort by a
-// wide margin; passes stop at the key width actually in use.
-func RadixSortUint64(a []uint64) {
-	if len(a) < 256 {
-		slices.Sort(a)
-		return
-	}
+// sortRanked sorts a by key ascending, keeping the input order among equal
+// keys: an LSD byte-wise radix sort whose scatter passes are stable, with
+// passes skipped where every key shares the byte.
+func sortRanked(a []rankedVertex) {
 	var orv, andv uint64 = 0, ^uint64(0)
 	for _, x := range a {
-		orv |= x
-		andv &= x
+		orv |= x.key
+		andv &= x.key
 	}
-	buf := make([]uint64, len(a))
+	buf := make([]rankedVertex, len(a))
 	src, dst := a, buf
 	var counts [256]int
-	for shift := uint(0); orv>>shift > 0; shift += 8 {
+	for shift := uint(0); shift < 64; shift += 8 {
 		if (orv>>shift)&0xff == (andv>>shift)&0xff {
-			continue // all keys share this byte; the pass is an identity
+			continue
 		}
 		for i := range counts {
 			counts[i] = 0
 		}
 		for _, x := range src {
-			counts[(x>>shift)&0xff]++
+			counts[(x.key>>shift)&0xff]++
 		}
 		sum := 0
 		for i := 0; i < 256; i++ {
@@ -37,13 +35,13 @@ func RadixSortUint64(a []uint64) {
 			sum += c
 		}
 		for _, x := range src {
-			b := (x >> shift) & 0xff
+			b := (x.key >> shift) & 0xff
 			dst[counts[b]] = x
 			counts[b]++
 		}
 		src, dst = dst, src
 	}
-	if &src[0] != &a[0] {
+	if len(a) > 0 && &src[0] != &a[0] {
 		copy(a, src)
 	}
 }

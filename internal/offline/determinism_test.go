@@ -9,12 +9,12 @@ import (
 )
 
 // TestPipelineDeterministicAcrossWorkers pins the parallel pipeline's
-// contract: the sharded graph construction and the component-parallel MWIS
-// solve produce bit-identical schedules, energy, and spin-up counts for
-// every worker count. Integer degree maintenance, per-component greedy
-// independence, and component-indexed result merging make this exact, not
-// approximate — any floating-point reassociation or order dependence
-// sneaking into the pipeline fails this test.
+// contract: the sharded graph construction and the component-parallel
+// hybrid solve produce bit-identical schedules, energy, and spin-up counts
+// for every worker count. A total greedy order over integer degrees,
+// per-component independence, and component-indexed result merging make
+// this exact, not approximate — any floating-point reassociation or order
+// dependence sneaking into the pipeline fails this test.
 func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
 	plc, err := placement.Generate(placement.GenerateConfig{

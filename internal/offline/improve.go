@@ -3,7 +3,6 @@ package offline
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -61,16 +60,39 @@ func Improve(reqs []core.Request, sched core.Schedule, cfg power.Config, locatio
 
 // timelines maintains per-disk request timelines sorted by (time, id) with
 // incremental energy-delta queries. Disks index a slice directly (disk IDs
-// are dense), avoiding per-query map lookups on the local-search hot path.
+// are dense), avoiding per-query map lookups on the local-search hot path,
+// and a timeline holds only each request's (time, id) key, so its binary
+// searches stay in few cache lines.
 type timelines struct {
 	cfg  power.Config
+	gc   gapCoster
 	tail float64
-	byD  [][]core.Request
+	byD  [][]slot
+}
+
+// slot is a request's place on a disk timeline: its arrival and ID, the
+// timeline's sort key.
+type slot struct {
+	at time.Duration
+	id core.RequestID
+}
+
+func slotOf(r core.Request) slot { return slot{at: r.Arrival, id: r.ID} }
+
+func cmpSlot(a, b slot) int {
+	if a.at != b.at {
+		if a.at < b.at {
+			return -1
+		}
+		return 1
+	}
+	return int(a.id) - int(b.id)
 }
 
 func newTimelines(reqs []core.Request, sched core.Schedule, cfg power.Config) *timelines {
 	tl := &timelines{
 		cfg:  cfg,
+		gc:   newGapCoster(cfg),
 		tail: cfg.Breakeven().Seconds()*cfg.IdlePower + cfg.SpinDownEnergy,
 	}
 	numDisks := 0
@@ -79,63 +101,45 @@ func newTimelines(reqs []core.Request, sched core.Schedule, cfg power.Config) *t
 			numDisks = int(d) + 1
 		}
 	}
-	tl.byD = make([][]core.Request, numDisks)
+	tl.byD = make([][]slot, numDisks)
 	counts := make([]int, numDisks)
 	for _, r := range reqs {
 		counts[sched[r.ID]]++
 	}
 	for d, c := range counts {
 		if c > 0 {
-			tl.byD[d] = make([]core.Request, 0, c)
+			tl.byD[d] = make([]slot, 0, c)
 		}
 	}
 	for _, r := range reqs {
 		d := sched[r.ID]
-		tl.byD[d] = append(tl.byD[d], r)
+		tl.byD[d] = append(tl.byD[d], slotOf(r))
 	}
 	for d := range tl.byD {
-		slices.SortFunc(tl.byD[d], cmpReq)
+		slices.SortFunc(tl.byD[d], cmpSlot)
 	}
 	return tl
 }
 
 // disk returns disk d's timeline, growing the table when a local-search
 // move targets a previously unused replica disk.
-func (tl *timelines) disk(d core.DiskID) []core.Request {
+func (tl *timelines) disk(d core.DiskID) []slot {
 	if int(d) >= len(tl.byD) {
 		return nil
 	}
 	return tl.byD[d]
 }
 
-func lessReq(a, b core.Request) bool {
-	if a.Arrival != b.Arrival {
-		return a.Arrival < b.Arrival
-	}
-	return a.ID < b.ID
-}
-
-func cmpReq(a, b core.Request) int {
-	if a.Arrival != b.Arrival {
-		if a.Arrival < b.Arrival {
-			return -1
-		}
-		return 1
-	}
-	return int(a.ID) - int(b.ID)
-}
-
 // pos locates r in disk d's timeline.
 func (tl *timelines) pos(d core.DiskID, r core.Request) int {
-	rs := tl.disk(d)
-	i := sort.Search(len(rs), func(k int) bool { return !lessReq(rs[k], r) })
-	if i >= len(rs) || rs[i].ID != r.ID {
+	i, found := slices.BinarySearchFunc(tl.disk(d), slotOf(r), cmpSlot)
+	if !found {
 		panic(fmt.Sprintf("offline: request %d not on disk %d", r.ID, d))
 	}
 	return i
 }
 
-func (tl *timelines) gap(a, b time.Duration) float64 { return GapCost(tl.cfg, b-a) }
+func (tl *timelines) gap(a, b time.Duration) float64 { return tl.gc.cost(b - a) }
 
 // removalDelta returns the energy change from removing r from disk d.
 func (tl *timelines) removalDelta(d core.DiskID, r core.Request) float64 {
@@ -145,13 +149,13 @@ func (tl *timelines) removalDelta(d core.DiskID, r core.Request) float64 {
 	case len(rs) == 1:
 		return -(tl.cfg.SpinUpEnergy + tl.tail)
 	case i == 0:
-		return -tl.gap(rs[0].Arrival, rs[1].Arrival)
+		return -tl.gap(rs[0].at, rs[1].at)
 	case i == len(rs)-1:
-		return -tl.gap(rs[i-1].Arrival, rs[i].Arrival)
+		return -tl.gap(rs[i-1].at, rs[i].at)
 	default:
-		return tl.gap(rs[i-1].Arrival, rs[i+1].Arrival) -
-			tl.gap(rs[i-1].Arrival, rs[i].Arrival) -
-			tl.gap(rs[i].Arrival, rs[i+1].Arrival)
+		return tl.gap(rs[i-1].at, rs[i+1].at) -
+			tl.gap(rs[i-1].at, rs[i].at) -
+			tl.gap(rs[i].at, rs[i+1].at)
 	}
 }
 
@@ -161,16 +165,16 @@ func (tl *timelines) insertionDelta(d core.DiskID, r core.Request) float64 {
 	if len(rs) == 0 {
 		return tl.cfg.SpinUpEnergy + tl.tail
 	}
-	i := sort.Search(len(rs), func(k int) bool { return !lessReq(rs[k], r) })
+	i, _ := slices.BinarySearchFunc(rs, slotOf(r), cmpSlot)
 	switch {
 	case i == 0:
-		return tl.gap(r.Arrival, rs[0].Arrival)
+		return tl.gap(r.Arrival, rs[0].at)
 	case i == len(rs):
-		return tl.gap(rs[i-1].Arrival, r.Arrival)
+		return tl.gap(rs[i-1].at, r.Arrival)
 	default:
-		return tl.gap(rs[i-1].Arrival, r.Arrival) +
-			tl.gap(r.Arrival, rs[i].Arrival) -
-			tl.gap(rs[i-1].Arrival, rs[i].Arrival)
+		return tl.gap(rs[i-1].at, r.Arrival) +
+			tl.gap(r.Arrival, rs[i].at) -
+			tl.gap(rs[i-1].at, rs[i].at)
 	}
 }
 
@@ -185,10 +189,8 @@ func (tl *timelines) insert(d core.DiskID, r core.Request) {
 		tl.byD = append(tl.byD, nil)
 	}
 	rs := tl.byD[d]
-	i := sort.Search(len(rs), func(k int) bool { return !lessReq(rs[k], r) })
-	rs = append(rs, core.Request{})
-	copy(rs[i+1:], rs[i:])
-	rs[i] = r
+	i, _ := slices.BinarySearchFunc(rs, slotOf(r), cmpSlot)
+	rs = slices.Insert(rs, i, slotOf(r))
 	tl.byD[d] = rs
 }
 

@@ -46,9 +46,9 @@ type BuildOptions struct {
 	// optimum at near-greedy cost.
 	HybridExactLimit int
 	// Workers bounds the goroutines used for graph construction (the
-	// per-disk successor scans are independent) and for the
-	// component-parallel MWIS solve. 0 or 1 means serial. Results are
-	// bit-identical for every worker count.
+	// per-disk successor scans are independent) and, with
+	// HybridExactLimit, for the component-parallel solve. 0 or 1 means
+	// serial. Results are bit-identical for every worker count.
 	Workers int
 }
 
@@ -66,21 +66,26 @@ func (o BuildOptions) workerCount() int {
 // schedule-constraint violation (shared request, different disk).
 //
 // Construction is allocation-lean and sharded: replica membership is
-// gathered into one sorted (disk, request) run instead of a map of slices,
-// each disk's successor scan runs independently (concurrently when
-// opts.Workers > 1) into a pre-counted node slice, and the conflict-edge
-// expansion walks sorted (request, vertex) index ranges rather than a
-// map keyed by request. The produced instance is bit-identical to the
-// serial construction for every worker count.
+// gathered into one (disk, request) run grouped by disk instead of a map
+// of slices, and each disk's successor scan runs independently
+// (concurrently when opts.Workers > 1) into a pre-counted node slice. The
+// edges are not stored: the graph's implicit adjacency is a conflict index
+// of per-request vertex ranges, from which neighbors are scanned and
+// degrees counted in O(vertices). The produced instance is bit-identical
+// to the serial construction for every worker count.
 func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg power.Config, opts BuildOptions) (*Instance, error) {
 	window := cfg.ReplacementWindow()
 
-	// Step 0: one sorted run of (disk, request index) pairs replaces the
-	// per-disk map of request copies. Packing both into a uint64 keyed by
-	// disk groups the run by disk after a single sort. Capacity assumes the
+	// Step 0: one run of (disk, request index) pairs grouped by disk
+	// replaces the per-disk map of request copies. Capacity assumes the
 	// common 3-way replication; higher factors regrow geometrically.
 	pairs := make([]uint64, 0, 3*len(reqs))
+	numDisks := 0
 	for i, r := range reqs {
+		if r.ID < 0 || int(r.ID) >= len(reqs) {
+			// The schedule, and the vertex order, are indexed by ID.
+			return nil, fmt.Errorf("offline: request ID %d outside [0, %d)", r.ID, len(reqs))
+		}
 		locs := locations(r.Block)
 		if len(locs) == 0 {
 			return nil, fmt.Errorf("offline: request %d block %d has no locations", r.ID, r.Block)
@@ -90,28 +95,32 @@ func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg 
 				return nil, fmt.Errorf("offline: request %d block %d on negative disk %d", r.ID, r.Block, d)
 			}
 			pairs = append(pairs, uint64(d)<<32|uint64(uint32(i)))
+			numDisks = max(numDisks, int(d)+1)
 		}
 	}
-	graph.RadixSortUint64(pairs)
-
-	// Disk shards: contiguous ranges of the sorted run, counted first so the
-	// shard slice is allocated exactly once.
+	// A stable counting sort over the disk IDs, which index slices
+	// throughout the pipeline, groups the run by disk; each disk shard is
+	// one contiguous range, in request-index order.
+	end := make([]int, numDisks)
+	for _, p := range pairs {
+		end[p>>32]++
+	}
 	type shard struct{ lo, hi int }
-	nshards := 0
-	for i := range pairs {
-		if i == 0 || pairs[i]>>32 != pairs[i-1]>>32 {
-			nshards++
+	shards := make([]shard, 0, numDisks)
+	lo := 0
+	for d, c := range end {
+		end[d] = lo
+		if c > 0 {
+			shards = append(shards, shard{lo, lo + c})
 		}
+		lo += c
 	}
-	shards := make([]shard, 0, nshards)
-	for lo := 0; lo < len(pairs); {
-		hi := lo + 1
-		for hi < len(pairs) && pairs[hi]>>32 == pairs[lo]>>32 {
-			hi++
-		}
-		shards = append(shards, shard{lo, hi})
-		lo = hi
+	grouped := make([]uint64, len(pairs))
+	for _, p := range pairs {
+		grouped[end[p>>32]] = p
+		end[p>>32]++
 	}
+	pairs = grouped
 
 	// Step 1 per disk: sort the disk's requests by (arrival, id), then scan
 	// successors inside the replacement window. A cheap counting pass
@@ -221,73 +230,160 @@ func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg 
 	if opts.MaxNodes > 0 && total > opts.MaxNodes {
 		return nil, fmt.Errorf("offline: MWIS graph exceeds %d nodes", opts.MaxNodes)
 	}
-	nodes := make([]Node, 0, total)
-	for _, ns := range nodesByShard {
-		nodes = append(nodes, ns...)
-	}
 	// Deterministic vertex order regardless of shard or worker schedule:
-	// (I, J, Disk) is unique per node, so this order is total.
-	slices.SortFunc(nodes, func(na, nb Node) int {
-		if na.I != nb.I {
-			return int(na.I) - int(nb.I)
+	// (I, J, Disk) is unique per node, so this order is total. A counting
+	// sort by I (request IDs index the trace) groups the nodes by
+	// predecessor; each group holds a few successors per replica and is
+	// then sorted by (J, Disk).
+	at := make([]int32, len(reqs)+1)
+	for _, ns := range nodesByShard {
+		for _, nd := range ns {
+			at[nd.I+1]++
 		}
-		if na.J != nb.J {
-			return int(na.J) - int(nb.J)
+	}
+	for r := 1; r <= len(reqs); r++ {
+		at[r] += at[r-1]
+	}
+	nodes := make([]Node, total)
+	for _, ns := range nodesByShard {
+		for _, nd := range ns {
+			nodes[at[nd.I]] = nd
+			at[nd.I]++
 		}
-		return int(na.Disk) - int(nb.Disk)
-	})
+	}
+	nodesByShard = nil
+	for lo := 0; lo < len(nodes); {
+		hi := int(at[nodes[lo].I])
+		slices.SortFunc(nodes[lo:hi], func(na, nb Node) int {
+			if na.J != nb.J {
+				return int(na.J) - int(nb.J)
+			}
+			return int(na.Disk) - int(nb.Disk)
+		})
+		lo = hi
+	}
 
-	// Step 2: conflict edges. Every vertex is indexed under both requests
-	// it mentions via one sorted (request, vertex) run; vertices sharing a
-	// request form a contiguous range, replacing the map of slices.
-	g := graph.NewGraph(len(nodes))
-	mentions := make([]uint64, 0, 2*len(nodes))
+	// Step 2: conflict edges, kept implicit. The conflict index lists, per
+	// request, the vertices that mention it, and derives each vertex's
+	// neighbors and degree from the ranges of its two requests on demand.
+	g := graph.NewImplicitGraph(len(nodes), newConflictIndex(nodes, len(reqs)))
 	for v, n := range nodes {
 		g.SetWeight(v, n.Weight)
-		mentions = append(mentions,
-			uint64(n.I)<<32|uint64(uint32(v)),
-			uint64(n.J)<<32|uint64(uint32(v)))
 	}
-	graph.RadixSortUint64(mentions)
-	// forEachEdge yields every conflict edge exactly once: within the
-	// sorted range of one request, every vertex pair violating the energy
-	// constraint (same predecessor i) or the schedule constraint (shared
-	// request, different disk) is an edge. A pair sharing both requests
-	// (same (i,j) on two disks) appears in two ranges; it is emitted only
-	// from the predecessor's range so the edge buffer stays duplicate-free.
-	forEachEdge := func(yield func(u, v int)) {
-		for lo := 0; lo < len(mentions); {
-			r := core.RequestID(mentions[lo] >> 32)
-			hi := lo + 1
-			for hi < len(mentions) && core.RequestID(mentions[hi]>>32) == r {
-				hi++
+	return &Instance{Graph: g, Nodes: nodes}, nil
+}
+
+// mention is one entry of a request's range in the conflict index: vertex
+// v names the range's request, and lives on disk with predecessor pred.
+type mention struct {
+	v, disk, pred int32
+}
+
+// conflictIndex is the implicit adjacency of the MWIS conflict graph.
+// Two vertices conflict when they share a request and either share the
+// predecessor (energy constraint: one request leads at most one saving
+// pair) or sit on different disks (schedule constraint: a request is
+// served by one disk). Every conflict is between two vertices of one
+// request's range, so each vertex's neighbors are found by scanning the
+// ranges of its two requests, and no edge is stored.
+type conflictIndex struct {
+	nodes   []Node
+	entries []mention // request r's range is entries[start[r]:start[r+1]]
+	start   []int32
+	deg     []int32 // per vertex: exact degree
+}
+
+// newConflictIndex builds the per-request ranges, each in vertex order, by
+// a counting sort over the numReqs request IDs, and counts every degree in
+// O(mentions) without visiting vertex pairs. nodes must be sorted by
+// (I, J, Disk).
+func newConflictIndex(nodes []Node, numReqs int) *conflictIndex {
+	c := &conflictIndex{
+		nodes:   nodes,
+		entries: make([]mention, 2*len(nodes)),
+		start:   make([]int32, numReqs+1),
+		deg:     make([]int32, len(nodes)),
+	}
+	maxDisk := 0
+	for _, nd := range nodes {
+		c.start[nd.I+1]++
+		c.start[nd.J+1]++
+		maxDisk = max(maxDisk, int(nd.Disk))
+	}
+	for r := 1; r <= numReqs; r++ {
+		c.start[r] += c.start[r-1]
+	}
+	next := make([]int32, numReqs)
+	copy(next, c.start)
+	for v, nd := range nodes {
+		e := mention{v: int32(v), disk: int32(nd.Disk), pred: int32(nd.I)}
+		c.entries[next[nd.I]] = e
+		next[nd.I]++
+		c.entries[next[nd.J]] = e
+		next[nd.J]++
+	}
+
+	// A vertex's neighbors in its I range are every other entry except the
+	// same-disk entries that name the request as successor; in its J range,
+	// every entry on another disk except the copies of its own (I, J) pair.
+	// Seed each degree with the pair correction: 1 - (disks holding the
+	// pair), the copies forming a run of the (I, J, Disk) order.
+	for lo := 0; lo < len(nodes); {
+		hi := lo + 1
+		for hi < len(nodes) && nodes[hi].I == nodes[lo].I && nodes[hi].J == nodes[lo].J {
+			hi++
+		}
+		for v := lo; v < hi; v++ {
+			c.deg[v] = int32(1 - (hi - lo))
+		}
+		lo = hi
+	}
+	onDisk := make([]int32, maxDisk+1)     // range entries per disk
+	succOnDisk := make([]int32, maxDisk+1) // of those, naming the request as successor
+	for r := 0; r < numReqs; r++ {
+		rng := c.entries[c.start[r]:c.start[r+1]]
+		size := int32(len(rng))
+		for _, e := range rng {
+			onDisk[e.disk]++
+			if e.pred != int32(r) {
+				succOnDisk[e.disk]++
 			}
-			for a := lo; a < hi; a++ {
-				u := int(uint32(mentions[a]))
-				nu := nodes[u]
-				for b := a + 1; b < hi; b++ {
-					v := int(uint32(mentions[b]))
-					nv := nodes[v]
-					if nu.I == nv.I {
-						if nu.J == nv.J && r != nu.I {
-							continue // counted in the predecessor's range
-						}
-						yield(u, v)
-					} else if nu.Disk != nv.Disk {
-						yield(u, v)
-					}
-				}
+		}
+		for _, e := range rng {
+			if e.pred == int32(r) {
+				c.deg[e.v] += size - 1 - succOnDisk[e.disk]
+			} else {
+				c.deg[e.v] += size - onDisk[e.disk]
 			}
-			lo = hi
+		}
+		for _, e := range rng {
+			onDisk[e.disk], succOnDisk[e.disk] = 0, 0
 		}
 	}
-	// One expansion pass; the edge buffer starts at a mentions-proportional
-	// estimate and the rare geometric regrowth is far cheaper than walking
-	// the ranges twice for an exact count.
-	g.Grow(2 * len(mentions))
-	forEachEdge(g.AddEdge)
-	g.Finalize()
-	return &Instance{Graph: g, Nodes: nodes}, nil
+	return c
+}
+
+// Degree implements graph.Adjacency.
+func (c *conflictIndex) Degree(v int) int { return int(c.deg[v]) }
+
+// AppendNeighbors implements graph.Adjacency. The two scans are disjoint:
+// a neighbor naming both of v's requests shares v's pair and is found
+// only in the I range.
+func (c *conflictIndex) AppendNeighbors(dst []int32, v int) []int32 {
+	nd := c.nodes[v]
+	disk, pred := int32(nd.Disk), int32(nd.I)
+	self := int32(v)
+	for _, e := range c.entries[c.start[nd.I]:c.start[nd.I+1]] {
+		if e.v != self && (e.pred == pred || e.disk != disk) {
+			dst = append(dst, e.v)
+		}
+	}
+	for _, e := range c.entries[c.start[nd.J]:c.start[nd.J+1]] {
+		if e.disk != disk && e.pred != pred {
+			dst = append(dst, e.v)
+		}
+	}
+	return dst
 }
 
 // DeriveSchedule is Step 4 of the algorithm: requests appearing in selected
@@ -357,9 +453,9 @@ func (in *Instance) DeriveSchedule(reqs []core.Request, locations func(core.Bloc
 
 // Solve runs the full offline pipeline with the GWMIN greedy the paper uses
 // (Section 4.3): build the reduction, solve MWIS, derive the schedule.
-// With opts.Workers > 1 both graph construction and the component-parallel
-// solve run concurrently; the schedule and stats are bit-identical for
-// every worker count.
+// With opts.Workers > 1 graph construction (and a hybrid solve's
+// components) run concurrently; the schedule and stats are bit-identical
+// for every worker count.
 func Solve(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg power.Config, opts BuildOptions) (core.Schedule, Stats, error) {
 	in, err := Build(reqs, locations, cfg, opts)
 	if err != nil {

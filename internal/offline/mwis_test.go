@@ -279,6 +279,16 @@ func TestBuildErrorsOnUnplacedBlock(t *testing.T) {
 	}
 }
 
+func TestBuildErrorsOnOutOfRangeRequestID(t *testing.T) {
+	t.Parallel()
+	for _, id := range []core.RequestID{-1, 2} {
+		reqs := []core.Request{{ID: 0, Block: 0}, {ID: id, Block: 1, Arrival: time.Second}}
+		if _, err := Build(reqs, paperExample(), power.ToyConfig(), BuildOptions{}); err == nil {
+			t.Errorf("Build accepted request ID %d in a 2-request trace", id)
+		}
+	}
+}
+
 func TestDeriveScheduleRejectsConflictingSelection(t *testing.T) {
 	t.Parallel()
 	in, err := Build(offlineRequests(), paperExample(), power.ToyConfig(), BuildOptions{})

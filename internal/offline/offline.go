@@ -42,13 +42,33 @@ func Saving(cfg power.Config, ti, tj time.Duration) float64 {
 // its successor arriving gap later (Lemma 1): idle power for gaps inside
 // the replacement window, one full power cycle beyond it.
 func GapCost(cfg power.Config, gap time.Duration) float64 {
+	return newGapCoster(cfg).cost(gap)
+}
+
+// gapCoster is GapCost with the configuration's derived constants computed
+// once, for loops that price many gaps under one configuration.
+type gapCoster struct {
+	window time.Duration
+	idle   float64 // watts while idle
+	cycle  float64 // joules of one full power cycle
+}
+
+func newGapCoster(cfg power.Config) gapCoster {
+	return gapCoster{
+		window: cfg.ReplacementWindow(),
+		idle:   cfg.IdlePower,
+		cycle:  cfg.UpDownEnergy() + cfg.Breakeven().Seconds()*cfg.IdlePower,
+	}
+}
+
+func (c gapCoster) cost(gap time.Duration) float64 {
 	if gap < 0 {
 		panic(fmt.Sprintf("offline: negative gap %s", gap))
 	}
-	if gap < cfg.ReplacementWindow() {
-		return gap.Seconds() * cfg.IdlePower
+	if gap < c.window {
+		return gap.Seconds() * c.idle
 	}
-	return cfg.UpDownEnergy() + cfg.Breakeven().Seconds()*cfg.IdlePower
+	return c.cycle
 }
 
 // Stats summarizes a schedule under the offline analytic model.
@@ -94,6 +114,7 @@ func Evaluate(reqs []core.Request, sched core.Schedule, cfg power.Config, locati
 	}
 	var st Stats
 	tail := cfg.Breakeven().Seconds()*cfg.IdlePower + cfg.SpinDownEnergy
+	gc := newGapCoster(cfg)
 	// Disks are visited in id order so the floating-point energy sum is the
 	// same on every run (map iteration would reorder the additions).
 	for _, times := range perDisk {
@@ -107,8 +128,8 @@ func Evaluate(reqs []core.Request, sched core.Schedule, cfg power.Config, locati
 		st.Energy += cfg.SpinUpEnergy
 		for i := 0; i+1 < len(times); i++ {
 			gap := times[i+1] - times[i]
-			st.Energy += GapCost(cfg, gap)
-			if gap >= cfg.ReplacementWindow() {
+			st.Energy += gc.cost(gap)
+			if gap >= gc.window {
 				st.SpinUps++
 				st.SpinDowns++
 			}

@@ -673,9 +673,14 @@ func (e *Engine) submitSequential(p *pending) {
 	for _, s := range touched {
 		e.seqMark[s.idx] = false
 	}
+	// Combine from a private copy: once seqMu is released the next
+	// releaser reuses e.seqTouch, and a shard dropped from this walk would
+	// strand the requests just pushed to it.
+	var local [8]*shard
+	mine := append(local[:0], touched...)
 	e.seqTouch = touched[:0]
 	e.seqMu.Unlock()
-	for _, s := range touched {
+	for _, s := range mine {
 		e.combineOn(s)
 	}
 }

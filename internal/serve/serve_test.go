@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,29 +34,60 @@ func testConfig(t *testing.T, disks, blocks, rf int) (Config, *placement.Placeme
 	}, p
 }
 
+// submitDeadline bounds one Submit in these tests. A request that waits
+// longer has hung: the test fails at once with every goroutine's stack
+// rather than running into the test binary's timeout.
+const submitDeadline = 20 * time.Second
+
 // submitTrace feeds a pre-generated trace to a Sequential engine with
 // `workers` concurrent submitters (worker g owns IDs congruent to g), each
-// submitting its IDs in order. workers=1 is the serial baseline.
+// submitting its IDs in order. workers=1 is the serial baseline. Each
+// Submit is held to submitDeadline.
 func submitTrace(t *testing.T, e *Engine, reqs []core.Request, workers int) {
 	t.Helper()
 	var wg sync.WaitGroup
 	errc := make(chan error, workers)
+	// since[g] is when worker g's current Submit began (unix ns), 0 if idle.
+	since := make([]atomic.Int64, workers)
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < len(reqs); i += workers {
-				if _, err := e.Submit(reqs[i], 0); err != nil {
+				since[g].Store(time.Now().UnixNano())
+				_, err := e.Submit(reqs[i], 0)
+				since[g].Store(0)
+				if err != nil {
 					errc <- err
 					return
 				}
 			}
 		}(g)
 	}
-	wg.Wait()
-	close(errc)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	tick := time.NewTicker(50 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case <-done:
+			close(errc)
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+			return
+		case now := <-tick.C:
+			for g := range since {
+				if at := since[g].Load(); at != 0 && now.UnixNano()-at > int64(submitDeadline) {
+					stacks := make([]byte, 1<<20)
+					stacks = stacks[:runtime.Stack(stacks, true)]
+					t.Fatalf("submitter %d: Submit waited over %v\n%s", g, submitDeadline, stacks)
+				}
+			}
+		}
 	}
 }
 

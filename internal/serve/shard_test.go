@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -401,6 +402,43 @@ func TestRingOrder(t *testing.T) {
 		}
 		if !r.empty() {
 			t.Fatal("ring not empty after draining")
+		}
+	}
+}
+
+// TestSequentialReleaseReachesEveryShard pins the Sequential sequencer's
+// hand-off: a submitter that releases a run of requests must run
+// combining on exactly the shards it pushed to, even while another
+// submitter releases the next run. A shard skipped there holds a request
+// nobody decides, and its submitter waits forever; submitTrace's
+// per-Submit deadline turns that into a failure with a goroutine dump.
+// Many short runs at GOMAXPROCS >= 2 make the interleaving likely without
+// the race detector.
+func TestSequentialReleaseReachesEveryShard(t *testing.T) {
+	if procs := runtime.GOMAXPROCS(0); procs < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	cfg, _ := rackLocalConfig(t, 16, 96, 3, 4)
+	cfg.Sequential = true
+	cfg.Shards = 4
+	cfg.MaxInFlight = 64
+	reqs := workload.CelloLike(120, 96, 5)
+	rounds := 150
+	if testing.Short() {
+		rounds = 20
+	}
+	for round := 0; round < rounds; round++ {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitTrace(t, e, reqs, 8)
+		res, err := e.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Served != len(reqs) {
+			t.Fatalf("round %d: served %d of %d", round, res.Served, len(reqs))
 		}
 	}
 }
