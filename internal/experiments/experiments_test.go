@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -360,5 +362,41 @@ func TestFigureOutputShardInvariant(t *testing.T) {
 		if got := render(shards); got != want {
 			t.Errorf("figure output at Shards=%d differs from serial render", shards)
 		}
+	}
+}
+
+// TestFigure11And12PoolInvariant pins the pooled Figures 11 and 12 to
+// their serial render: the tables are byte-identical at Parallelism 1 and
+// 4, and a failing Figure 11 cell still names its (alpha, beta).
+func TestFigure11And12PoolInvariant(t *testing.T) {
+	t.Parallel()
+	render := func(par int) string {
+		s := SmallScale()
+		s.Parallelism = par
+		f11, err := Figure11(s, Cello)
+		if err != nil {
+			t.Fatalf("Figure11 at Parallelism=%d: %v", par, err)
+		}
+		f12, err := Figure12(s, Cello)
+		if err != nil {
+			t.Fatalf("Figure12 at Parallelism=%d: %v", par, err)
+		}
+		return f11.Render() + f12.Render()
+	}
+	if want, got := render(1), render(4); got != want {
+		t.Errorf("Figures 11-12 at Parallelism=4 differ from the serial render:\n%s\nwant:\n%s", got, want)
+	}
+
+	// A NaN alpha makes every composite cost NaN, which the doctor flags as
+	// a non-finite decision cost; only that one cell fails.
+	s := SmallScale()
+	s.Parallelism = 4
+	s.Doctor = true
+	s.Alphas = []float64{0, 0.2, math.NaN()}
+	s.Betas = s.Betas[:1]
+	want := fmt.Sprintf("alpha=NaN beta=%v: ", s.Betas[0])
+	_, err := Figure11(s, Cello)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Figure11 with alpha=NaN: err = %v, want it to contain %q", err, want)
 	}
 }

@@ -260,26 +260,34 @@ func Figure11(s Scale, tr Trace) (*Table, error) {
 		Title:  fmt.Sprintf("Figure 11: cost-function tradeoff at replication factor 3 (%s); energy and response normalized to alpha=0", tr),
 		Header: []string{"beta", "alpha", "norm energy", "norm response", "energy (abs)", "response (abs)"},
 	}
-	for _, beta := range s.Betas {
-		var baseEnergy float64
-		var baseResp time.Duration
-		for i, alpha := range s.Alphas {
-			cost := sched.CostConfig{Alpha: alpha, Beta: beta, Power: pwr}
-			run, err := cell(s, reqs, plc, AlgoHeuristic, cost)
-			if err != nil {
-				return nil, fmt.Errorf("alpha=%v beta=%v: %w", alpha, beta, err)
-			}
-			if i == 0 {
-				baseEnergy = run.NormEnergy
-				baseResp = run.Mean
-			}
-			normResp := float64(run.Mean) / float64(baseResp)
-			t.AddRow(fmt.Sprintf("%.0f", beta), fmt.Sprintf("%.1f", alpha),
-				fmt.Sprintf("%.3f", run.NormEnergy/baseEnergy),
-				fmt.Sprintf("%.3f", normResp),
-				fmt.Sprintf("%.3f", run.NormEnergy),
-				run.Mean.Round(time.Millisecond).String())
+	// Cells keep only the two figures the table needs: holding each run
+	// would pin every cell's response samples until rendering.
+	type point struct {
+		energy float64
+		mean   time.Duration
+	}
+	na := len(s.Alphas)
+	points := make([]point, len(s.Betas)*na)
+	err = runParallel(len(points), s.Parallelism, nil, func(i int) error {
+		alpha, beta := s.Alphas[i%na], s.Betas[i/na]
+		cost := sched.CostConfig{Alpha: alpha, Beta: beta, Power: pwr}
+		run, err := cell(s, reqs, plc, AlgoHeuristic, cost)
+		if err != nil {
+			return fmt.Errorf("alpha=%v beta=%v: %w", alpha, beta, err)
 		}
+		points[i] = point{run.NormEnergy, run.Mean}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range points {
+		base := points[i/na*na]
+		t.AddRow(fmt.Sprintf("%.0f", s.Betas[i/na]), fmt.Sprintf("%.1f", s.Alphas[i%na]),
+			fmt.Sprintf("%.3f", p.energy/base.energy),
+			fmt.Sprintf("%.3f", float64(p.mean)/float64(base.mean)),
+			fmt.Sprintf("%.3f", p.energy),
+			p.mean.Round(time.Millisecond).String())
 	}
 	return t, nil
 }
@@ -299,42 +307,42 @@ func Figure12(s Scale, tr Trace) (*Table, error) {
 	cost := sched.DefaultCost(storage.DefaultConfig().Power)
 	thresholds := metrics.LogSpace(time.Millisecond, 30*time.Second, 14)
 
-	type series struct {
-		name string
-		ccdf []float64
-	}
-	var all []series
-
-	// Always-on baseline: static routing, disks never sleep.
-	aCfg := storage.DefaultConfig()
-	aCfg.NumDisks = s.NumDisks
-	aCfg.Policy = power.AlwaysOn{}
-	aCfg.InitialState = core.StateIdle
-	aRes, err := storage.RunOnline(aCfg, plc.Locations, sched.Static{Locations: plc.Locations}, reqs)
+	// Series 0 is the always-on baseline: static routing, disks never
+	// sleep, so it never pays spin-up delays.
+	names := append([]string{"always-on"}, onlineAlgos()...)
+	ccdfs := make([][]float64, len(names))
+	err = runParallel(len(names), s.Parallelism, nil, func(i int) error {
+		if i == 0 {
+			aCfg := storage.DefaultConfig()
+			aCfg.NumDisks = s.NumDisks
+			aCfg.Policy = power.AlwaysOn{}
+			aCfg.InitialState = core.StateIdle
+			res, err := storage.RunOnline(aCfg, plc.Locations, sched.Static{Locations: plc.Locations}, reqs)
+			if err != nil {
+				return err
+			}
+			ccdfs[i] = res.Response.CCDF(thresholds)
+			return nil
+		}
+		run, err := cell(s, reqs, plc, names[i], cost)
+		if err != nil {
+			return err
+		}
+		ccdfs[i] = run.Response.CCDF(thresholds)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	all = append(all, series{"always-on", aRes.Response.CCDF(thresholds)})
-
-	for _, algo := range onlineAlgos() {
-		run, err := cell(s, reqs, plc, algo, cost)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, series{algo, run.Response.CCDF(thresholds)})
 	}
 
 	t := &Table{
 		Title:  fmt.Sprintf("Figure 12: P[response time > x] at replication factor 3 (%s)", tr),
-		Header: []string{"x"},
-	}
-	for _, sr := range all {
-		t.Header = append(t.Header, sr.name)
+		Header: append([]string{"x"}, names...),
 	}
 	for i, x := range thresholds {
 		row := []string{x.Round(time.Millisecond).String()}
-		for _, sr := range all {
-			row = append(row, fmt.Sprintf("%.4f", sr.ccdf[i]))
+		for _, ccdf := range ccdfs {
+			row = append(row, fmt.Sprintf("%.4f", ccdf[i]))
 		}
 		t.AddRow(row...)
 	}

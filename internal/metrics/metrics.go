@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -92,7 +93,7 @@ func (r *ResponseTimes) Max() time.Duration {
 
 func (r *ResponseTimes) sort() {
 	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
+		slices.Sort(r.samples)
 		r.sorted = true
 	}
 }

@@ -195,9 +195,7 @@ func TestHTTPHealthStateAndDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(string(body), "ok") {
 		t.Fatalf("healthz: %d %q", resp.StatusCode, body)
 	}
-	if _, err := e.Submit(core.Request{Block: 5}, 0); err != nil {
-		t.Fatal(err)
-	}
+	submitOne(t, e, core.Request{Block: 5})
 	r, err := http.Get(ts.URL + "/state")
 	if err != nil {
 		t.Fatal(err)
@@ -228,11 +226,7 @@ func TestHTTPHealthStateAndDrain(t *testing.T) {
 func TestMetricsBitExactEnergy(t *testing.T) {
 	t.Parallel()
 	e, ts, _ := newTestServer(t, nil)
-	for i := 0; i < 120; i++ {
-		if _, err := e.Submit(core.Request{Block: core.BlockID(i % 40)}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitTrace(t, e, cycleBlocks(120, 40), 1)
 	res, err := e.Drain()
 	if err != nil {
 		t.Fatal(err)

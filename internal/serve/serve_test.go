@@ -39,29 +39,28 @@ func testConfig(t *testing.T, disks, blocks, rf int) (Config, *placement.Placeme
 // rather than running into the test binary's timeout.
 const submitDeadline = 20 * time.Second
 
-// submitTrace feeds a pre-generated trace to a Sequential engine with
-// `workers` concurrent submitters (worker g owns IDs congruent to g), each
-// submitting its IDs in order. workers=1 is the serial baseline. Each
-// Submit is held to submitDeadline.
-func submitTrace(t *testing.T, e *Engine, reqs []core.Request, workers int) {
+// submitFunc is a watched Engine.Submit with no per-request deadline.
+type submitFunc func(core.Request) (Decision, error)
+
+// submitters runs body on `workers` goroutines (worker g gets g) and
+// waits for all of them. Every Submit a worker makes through its submit
+// func is held to submitDeadline; an overrun fails the test with a
+// goroutine dump. Workers report their own errors with t.Error, and a
+// failed worker fails the test before submitters returns.
+func submitters(t *testing.T, e *Engine, workers int, body func(g int, submit submitFunc)) {
 	t.Helper()
 	var wg sync.WaitGroup
-	errc := make(chan error, workers)
 	// since[g] is when worker g's current Submit began (unix ns), 0 if idle.
 	since := make([]atomic.Int64, workers)
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := g; i < len(reqs); i += workers {
+			body(g, func(r core.Request) (Decision, error) {
 				since[g].Store(time.Now().UnixNano())
-				_, err := e.Submit(reqs[i], 0)
-				since[g].Store(0)
-				if err != nil {
-					errc <- err
-					return
-				}
-			}
+				defer since[g].Store(0)
+				return e.Submit(r, 0)
+			})
 		}(g)
 	}
 	done := make(chan struct{})
@@ -74,9 +73,8 @@ func submitTrace(t *testing.T, e *Engine, reqs []core.Request, workers int) {
 	for {
 		select {
 		case <-done:
-			close(errc)
-			if err := <-errc; err != nil {
-				t.Fatal(err)
+			if t.Failed() {
+				t.FailNow()
 			}
 			return
 		case now := <-tick.C:
@@ -89,6 +87,43 @@ func submitTrace(t *testing.T, e *Engine, reqs []core.Request, workers int) {
 			}
 		}
 	}
+}
+
+// submitOne is one watched Submit from the test goroutine.
+func submitOne(t *testing.T, e *Engine, r core.Request) Decision {
+	t.Helper()
+	var d Decision
+	submitters(t, e, 1, func(_ int, submit submitFunc) {
+		var err error
+		if d, err = submit(r); err != nil {
+			t.Error(err)
+		}
+	})
+	return d
+}
+
+// cycleBlocks returns n requests for blocks 0, 1, ..., blocks-1, 0, ...
+func cycleBlocks(n, blocks int) []core.Request {
+	reqs := make([]core.Request, n)
+	for i := range reqs {
+		reqs[i] = core.Request{Block: core.BlockID(i % blocks)}
+	}
+	return reqs
+}
+
+// submitTrace feeds a pre-generated trace to an engine with `workers`
+// concurrent submitters (worker g owns IDs congruent to g), each
+// submitting its IDs in order. workers=1 is the serial baseline.
+func submitTrace(t *testing.T, e *Engine, reqs []core.Request, workers int) {
+	t.Helper()
+	submitters(t, e, workers, func(g int, submit submitFunc) {
+		for i := g; i < len(reqs); i += workers {
+			if _, err := submit(reqs[i]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // runSequential runs one full serving pass over reqs and returns the final
@@ -196,20 +231,7 @@ func TestWSCRoundsServeAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 200
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < n; i += 8 {
-				if _, err := e.Submit(core.Request{Block: core.BlockID(i % 60)}, 0); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
+	submitTrace(t, e, cycleBlocks(n, 60), 8)
 	res, err := e.Drain()
 	if err != nil {
 		t.Fatal(err)
@@ -277,11 +299,7 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 150
-	for i := 0; i < n; i++ {
-		if _, err := e.Submit(core.Request{Block: core.BlockID(i % 40)}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitTrace(t, e, cycleBlocks(n, 40), 1)
 	// Decisions are made; disk service is still outstanding in virtual time.
 	res, err := e.Drain()
 	if err != nil {
@@ -355,10 +373,7 @@ func TestDecisionFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := e.Submit(core.Request{Block: 3}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := submitOne(t, e, core.Request{Block: 3})
 	locs := p.Locations(3)
 	found := false
 	for _, l := range locs {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -171,20 +170,7 @@ func TestShardedLiveDoctorClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 400
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < n; i += 8 {
-				if _, err := e.Submit(core.Request{Block: core.BlockID(i % 96)}, 0); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
+	submitTrace(t, e, cycleBlocks(n, 96), 8)
 	res, err := e.Drain()
 	if err != nil {
 		t.Fatal(err)
@@ -263,31 +249,35 @@ func TestDrainUnderFullLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	var decided, rejected atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				_, err := e.Submit(core.Request{Block: core.BlockID((g*31 + i) % 96)}, 0)
-				switch {
-				case err == nil:
-					decided.Add(1)
-				case errors.Is(err, ErrDraining):
-					rejected.Add(1)
-					return
-				case errors.Is(err, ErrQueueFull):
-					rejected.Add(1)
-				default:
-					t.Errorf("submit: %v", err)
-					return
-				}
-			}
-		}(g)
+	type drained struct {
+		res *storage.Result
+		err error
 	}
-	time.Sleep(50 * time.Millisecond)
-	res, err := e.Drain()
-	wg.Wait()
+	drainc := make(chan drained, 1)
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		res, err := e.Drain()
+		drainc <- drained{res, err}
+	}()
+	submitters(t, e, 16, func(g int, submit submitFunc) {
+		for i := 0; ; i++ {
+			_, err := submit(core.Request{Block: core.BlockID((g*31 + i) % 96)})
+			switch {
+			case err == nil:
+				decided.Add(1)
+			case errors.Is(err, ErrDraining):
+				rejected.Add(1)
+				return
+			case errors.Is(err, ErrQueueFull):
+				rejected.Add(1)
+			default:
+				t.Errorf("submit: %v", err)
+				return
+			}
+		}
+	})
+	d := <-drainc
+	res, err := d.res, d.err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,11 +334,7 @@ func TestShardStateSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 64; i++ {
-		if _, err := e.Submit(core.Request{Block: core.BlockID(i % 96)}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitTrace(t, e, cycleBlocks(64, 96), 1)
 	snap := e.Snapshot()
 	if len(snap.Shards) != 4 {
 		t.Fatalf("snapshot has %d shards, want 4", len(snap.Shards))

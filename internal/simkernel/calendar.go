@@ -32,7 +32,7 @@ import (
 // Cancellation is lazy, exactly like the heap path: items keep their
 // cancelled flag and are reaped when they surface at the front.
 type calQueue struct {
-	buckets [][]calSlot
+	buckets [][]keyedItem
 	mask    int  // len(buckets)-1; bucket count is a power of two
 	shift   uint // bucket width is 1<<shift nanoseconds
 	n       int  // all queued items, both tiers, including cancelled ones
@@ -82,16 +82,6 @@ type calQueue struct {
 	migrations uint64
 	farHW      int
 	nHW        int
-}
-
-// calSlot pairs an item with an inline copy of its ordering key: the
-// per-bucket min scans touch only the contiguous slot array, never the
-// pooled items they point at. The copy is refreshed by Scan when the
-// sharded kernel renumbers sequence numbers in place.
-type calSlot struct {
-	at  time.Duration
-	seq uint64
-	it  *eventItem
 }
 
 const (
@@ -205,7 +195,7 @@ func (q *calQueue) rebuild(count int, shift uint, start time.Duration) {
 		if count <= cap(q.buckets) {
 			q.buckets = q.buckets[:count]
 		} else {
-			nb := make([][]calSlot, count)
+			nb := make([][]keyedItem, count)
 			copy(nb, q.buckets[:cap(q.buckets)])
 			q.buckets = nb
 		}
@@ -242,7 +232,7 @@ func (q *calQueue) place(it *eventItem) {
 	}
 	b := q.bucketOf(it.at)
 	it.index = b
-	q.buckets[b] = appendSlot(q.buckets[b], calSlot{at: it.at, seq: it.seq, it: it})
+	q.buckets[b] = appendSlot(q.buckets[b], keyedItem{at: it.at, seq: it.seq, it: it})
 	q.nNear++
 }
 
@@ -250,9 +240,9 @@ func (q *calQueue) place(it *eventItem) {
 // a million bucket headers across all shards, and letting each grow through
 // the 1→2→4→8 doubling ladder makes slice warmup the top allocation site of
 // a whole fleet run; one 8-slot allocation replaces the first four.
-func appendSlot(bucket []calSlot, s calSlot) []calSlot {
+func appendSlot(bucket []keyedItem, s keyedItem) []keyedItem {
 	if cap(bucket) == 0 {
-		bucket = make([]calSlot, 0, 8)
+		bucket = make([]keyedItem, 0, 8)
 	}
 	return append(bucket, s)
 }
@@ -289,7 +279,7 @@ func (q *calQueue) Push(it *eventItem) {
 	}
 	b := q.bucketOf(it.at)
 	it.index = b
-	q.buckets[b] = appendSlot(q.buckets[b], calSlot{at: it.at, seq: it.seq, it: it})
+	q.buckets[b] = appendSlot(q.buckets[b], keyedItem{at: it.at, seq: it.seq, it: it})
 	q.nNear++
 	if it.at < q.curStart {
 		// The cursor has swept past this item's window (possible after a
@@ -345,7 +335,7 @@ func (q *calQueue) Pop() *eventItem {
 	bucket := q.buckets[b]
 	last := len(bucket) - 1
 	bucket[pos] = bucket[last]
-	bucket[last] = calSlot{}
+	bucket[last] = keyedItem{}
 	q.buckets[b] = bucket[:last]
 	q.n--
 	q.nNear--
@@ -449,7 +439,7 @@ func (q *calQueue) searchMin() (*eventItem, int, int) {
 }
 
 // bucketMin returns the slot index of the bucket's (at, seq) minimum.
-func bucketMin(bucket []calSlot) int {
+func bucketMin(bucket []keyedItem) int {
 	pos := 0
 	at, seq := bucket[0].at, bucket[0].seq
 	for i := 1; i < len(bucket); i++ {
@@ -464,7 +454,7 @@ func bucketMin(bucket []calSlot) int {
 // directMin scans every ring slot for the global minimum — the fallback
 // after a fruitless lap — and repositions the cursor at its window.
 func (q *calQueue) directMin() (*eventItem, int, int) {
-	var best *calSlot
+	var best *keyedItem
 	bIdx, bPos := 0, 0
 	for b, bucket := range q.buckets {
 		if len(bucket) == 0 {

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// refHeap drives the production eventHeap as the ordering oracle for the
-// calendar queue property tests.
-type refHeap struct{ h eventHeap }
+// refHeap drives the container/heap pointer heap as the ordering oracle for
+// the calendar queue property tests.
+type refHeap struct{ h ptrHeap }
 
 func (r *refHeap) push(it *eventItem) { heap.Push(&r.h, it) }
 func (r *refHeap) pop() *eventItem {

@@ -7,7 +7,6 @@
 package simkernel
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"slices"
@@ -73,33 +72,86 @@ const ownerSerial = -1
 
 const fired = -2
 
-type eventHeap []*eventItem
+// inHeap marks an item queued in the serial engine's heap. The heap does
+// not track positions (Cancel is lazy, nothing is removed mid-heap), so
+// unlike a calendar bucket index this is one constant, distinct from
+// `fired` so stale-handle checks keep working.
+const inHeap = -5
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// keyedItem pairs an item with an inline copy of its (at, seq) ordering
+// key, so heap sifts and calendar bucket scans compare within one
+// contiguous entry array and never dereference the pooled items they
+// point at. The calendar queue refreshes the copy in Scan when the sharded
+// kernel renumbers sequence numbers in place; the serial heap never
+// rewrites a queued key.
+type keyedItem struct {
+	at  time.Duration
+	seq uint64
+	it  *eventItem
+}
+
+func (a keyedItem) before(b keyedItem) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventHeap is the serial engine's event queue: a 4-ary min-heap of keyed
+// entries in (at, seq) order. Four children per node halve the tree depth
+// of a binary heap, and the four candidates of a sift-down sit in one or
+// two cache lines. seq is unique, so the order is total and the pop
+// sequence is independent of the heap's shape.
+type eventHeap []keyedItem
+
+const heapArity = 4
+
+func (h *eventHeap) push(it *eventItem) {
+	it.index = inHeap
+	e := keyedItem{it.at, it.seq, it}
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	it := x.(*eventItem)
-	it.index = len(*h)
-	*h = append(*h, it)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.index = fired
-	*h = old[:n-1]
-	return it
+
+// pop removes and returns the minimum entry's item, marked fired.
+func (h *eventHeap) pop() *eventItem {
+	q := *h
+	top := q[0].it
+	n := len(q) - 1
+	last := q[n]
+	q[n] = keyedItem{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := heapArity*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j := c + 1; j < min(c+heapArity, n); j++ {
+				if q[j].before(q[m]) {
+					m = j
+				}
+			}
+			if !q[m].before(last) {
+				break
+			}
+			q[i] = q[m]
+			i = m
+		}
+		q[i] = last
+	}
+	*h = q
+	top.index = fired
+	return top
 }
 
 // preloadEvent is one entry of a preloaded arrival run: a request delivery
@@ -231,7 +283,7 @@ func (e *Engine) At(t time.Duration, fn Event) Handle {
 	}
 	it := e.alloc()
 	it.at, it.seq, it.fn, it.cancelled = t, e.takeSeq(1), fn, false
-	heap.Push(&e.queue, it)
+	e.queue.push(it)
 	if len(e.queue) > e.queueHW {
 		e.queueHW = len(e.queue)
 	}
@@ -307,8 +359,8 @@ func (e *Engine) Halt() { e.halted = true }
 // reapCancelled pops cancelled events off the heap top so e.queue[0], when
 // present, is live.
 func (e *Engine) reapCancelled() {
-	for len(e.queue) > 0 && e.queue[0].cancelled {
-		e.release(heap.Pop(&e.queue).(*eventItem))
+	for len(e.queue) > 0 && e.queue[0].it.cancelled {
+		e.release(e.queue.pop())
 		e.cancelled--
 	}
 }
@@ -360,7 +412,7 @@ func (e *Engine) Step() bool {
 		fn(ev.req, e.now)
 		return true
 	}
-	it := heap.Pop(&e.queue).(*eventItem)
+	it := e.queue.pop()
 	fn := it.fn
 	e.now = it.at
 	e.fired++

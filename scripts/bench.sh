@@ -4,7 +4,8 @@
 # Runs the tier-1 figure benchmarks (BenchmarkFigure*) plus the offline
 # pipeline, trace-analyzer, live-doctor, carbon-attribution, serving
 # (sharded throughput + hot submit), flight-recorder and span-overhead
-# benchmarks with -benchmem and records the result as
+# benchmarks, and the serial kernel's idle-timer churn rung from
+# internal/simkernel, with -benchmem and records the result as
 # BENCH_<date>.json in the repo root: a small JSON envelope with machine
 # metadata and the raw `go test -bench` text embedded verbatim, so
 #
@@ -15,7 +16,7 @@
 # Usage: scripts/bench.sh [output.json]
 #        scripts/bench.sh -check [baseline.json]
 #   BENCH_PATTERN  regex of benchmarks to run
-#                  (default 'Figure|OfflineMWISPipeline|AnalyzeReplay|DoctorLive|CarbonAttribution|SweepCached|KernelThroughput|Fleet100k|ServeThroughput|ServeSubmit|FlightRecorder|SpanOverhead')
+#                  (default 'Figure|OfflineMWISPipeline|AnalyzeReplay|DoctorLive|CarbonAttribution|SweepCached|KernelThroughput|EngineIdleTimerChurn|Fleet100k|ServeThroughput|ServeSubmit|FlightRecorder|SpanOverhead')
 #   BENCH_TIME     per-benchmark time (default 1s)
 #   BENCH_COUNT    repetitions for benchstat confidence (default 1)
 #   BENCH_TOL      -check wall-time tolerance as a fraction (default 0.25)
@@ -57,7 +58,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-pattern="${BENCH_PATTERN:-Figure|OfflineMWISPipeline|AnalyzeReplay|DoctorLive|CarbonAttribution|SweepCached|KernelThroughput|Fleet100k|ServeThroughput|ServeSubmit|FlightRecorder|SpanOverhead}"
+pattern="${BENCH_PATTERN:-Figure|OfflineMWISPipeline|AnalyzeReplay|DoctorLive|CarbonAttribution|SweepCached|KernelThroughput|EngineIdleTimerChurn|Fleet100k|ServeThroughput|ServeSubmit|FlightRecorder|SpanOverhead}"
 benchtime="${BENCH_TIME:-1s}"
 count="${BENCH_COUNT:-1}"
 
@@ -70,8 +71,11 @@ fi
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-echo "running benchmarks matching '$pattern' (benchtime=$benchtime count=$count)..." >&2
-go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" . | tee "$tmp" >&2
+# -cpu 1: the committed baselines are single-core, and go test names a
+# GOMAXPROCS-1 result without the "-N" suffix, so the names match the
+# baselines' on a multi-core host too.
+echo "running benchmarks matching '$pattern' (benchtime=$benchtime count=$count cpu=1)..." >&2
+go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" -cpu 1 . ./internal/simkernel | tee "$tmp" >&2
 
 if [ "$check" = 1 ]; then
 	baseline="${1:-$(ls BENCH_*.json 2>/dev/null | sort | tail -1)}"
@@ -100,6 +104,7 @@ raw="$(sed -e 's/\\/\\\\/g' -e 's/"/\\"/g' -e 's/\t/\\t/g' "$tmp" | awk '{printf
 	printf '  "go": "%s",\n' "$(go version | sed -e 's/"/\\"/g')"
 	printf '  "commit": "%s",\n' "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 	printf '  "cpus": %s,\n' "$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"
+	printf '  "gomaxprocs": 1,\n'
 	printf '  "pattern": "%s",\n' "$pattern"
 	printf '  "benchtime": "%s",\n' "$benchtime"
 	printf '  "count": %s,\n' "$count"
