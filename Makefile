@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race-hot ci bench bench-check benchcheck bench-all replay-gate doctor-gate serve-gate carbon-gate flight-gate doc-check fuzz figures figures-full summary examples cover clean
+.PHONY: all build test vet check race-hot ci bench bench-check benchcheck bench-all replay-gate doctor-gate serve-gate carbon-gate flight-gate doc-check netlines fuzz figures figures-full summary examples cover clean
 
 all: build vet test
 
@@ -101,6 +101,12 @@ flight-gate:
 # over every package (see scripts/doccheck.sh).
 doc-check:
 	scripts/doccheck.sh
+
+# Net Go line delta of the working tree against BASE (default HEAD~1),
+# non-test and _test.go apart, e.g. `make netlines BASE=main`. A report
+# for change descriptions, not a gate (see scripts/netlines.sh).
+netlines:
+	scripts/netlines.sh $(BASE)
 
 # Benchmark-regression harness: runs the tier-1 figure benchmarks plus the
 # offline pipeline benchmark and records a BENCH_<date>.json snapshot that

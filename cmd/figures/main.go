@@ -59,7 +59,7 @@ func run() error {
 		cacheDir  = flag.String("cache", "", "persist replication-sweep results in this directory, keyed by a content hash of every input; repeat runs with unchanged inputs reuse them")
 		fleet     = flag.Bool("fleet", false, "run the 100k-disk fleet throughput benchmark (sharded kernel, hundreds of millions of events) instead of figures")
 		shards    = flag.Int("shards", 0, "kernel shard count (0 or 1 = serial engine); with -fleet, sub-kernels over the fleet's racks (0 = one per rack)")
-		kstats    = flag.String("kernelstats", "", "with -fleet: arm per-shard kernel timing and write the telemetry snapshot to this JSON file (inspect with `tracelens shards FILE`)")
+		kstats    = flag.String("kernelstats", "", "with -fleet: arm per-shard kernel timing and write the telemetry snapshot to this JSON file (inspect with `tracelens shards FILE`); needs the sharded kernel, so not -shards 1")
 		flightDir = flag.String("flight", "", "with -doctor: arm a flight recorder on every monitored cell; a doctor violation freezes the cell's recent events into a replayable dump under this directory (inspect with `tracelens last`)")
 		grid      = flag.String("grid", "", "also emit carbon & what-if tables under this grid profile: flat | diurnal | coal | profile.json")
 		costName  = flag.String("cost", "default", "cost model for -grid: default | model.json")

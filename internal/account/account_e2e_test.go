@@ -183,10 +183,11 @@ func TestLiveAccountingMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	suite := monitor.NewSuite(monitor.Config{Power: cfg.Power})
-	lv, err := storage.NewLive(cfg, p.Locations, storage.WithMonitor(suite), storage.WithAccounting(acc))
+	ls, err := storage.NewLiveSet(cfg, p.Locations, 1, false, storage.WithMonitor(suite), storage.WithAccounting(acc))
 	if err != nil {
 		t.Fatal(err)
 	}
+	lv := ls.Shard(0)
 	if lv.Accounting() != acc {
 		t.Fatal("Live.Accounting does not expose the attached accumulator")
 	}
@@ -201,7 +202,7 @@ func TestLiveAccountingMatchesBatch(t *testing.T) {
 		}
 		lv.Dispatch(r, d, 0)
 	}
-	res, err := lv.Finish("static")
+	res, err := ls.Finish("static")
 	if err != nil {
 		t.Fatal(err)
 	}

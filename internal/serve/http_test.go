@@ -222,10 +222,24 @@ func TestHTTPHealthStateAndDrain(t *testing.T) {
 }
 
 // TestMetricsBitExactEnergy is the acceptance check that /metrics energy
-// totals reconcile bit-exactly to the power meters at drain.
+// totals reconcile bit-exactly to the power meters at drain, on one
+// decision shard and on several (where the merged journals feed the
+// export).
 func TestMetricsBitExactEnergy(t *testing.T) {
 	t.Parallel()
-	e, ts, _ := newTestServer(t, nil)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			t.Parallel()
+			testMetricsBitExactEnergy(t, shards)
+		})
+	}
+}
+
+func testMetricsBitExactEnergy(t *testing.T, shards int) {
+	rack, _ := rackLocalConfig(t, 16, 96, 2, 4)
+	e, ts, _ := newTestServer(t, func(c *Config) {
+		c.System, c.Router, c.Shards = rack.System, rack.Router, shards
+	})
 	submitTrace(t, e, cycleBlocks(120, 40), 1)
 	res, err := e.Drain()
 	if err != nil {

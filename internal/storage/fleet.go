@@ -39,11 +39,12 @@ type FleetConfig struct {
 	// Workers caps the goroutines driving a sharded run; 0 means
 	// GOMAXPROCS.
 	Workers int
-	// Telemetry arms the kernel's wall-clock attribution
+	// Telemetry arms the sharded kernel's wall-clock attribution
 	// (simkernel.EnableTelemetry) and attaches a KernelStats snapshot to the
-	// result. Costs two clock reads per event, so leave it off when
-	// measuring peak throughput; the structural counters in the snapshot are
-	// collected either way.
+	// result; it requires Shards > 1, since the serial engine has no
+	// wall-clock attribution. Costs two clock reads per event, so leave it
+	// off when measuring peak throughput; the structural counters in the
+	// snapshot are collected either way.
 	Telemetry bool
 	// RelaxGC turns the garbage collector off for the duration of the run
 	// (previous settings are restored before RunFleet returns), trading
@@ -96,6 +97,8 @@ func (c *FleetConfig) validate() error {
 		return fmt.Errorf("fleet: negative shard count %d", c.Shards)
 	case c.Shards > 1 && c.NumRacks%c.Shards != 0:
 		return fmt.Errorf("fleet: %d shards do not evenly divide %d racks (a rack must not straddle shards)", c.Shards, c.NumRacks)
+	case c.Telemetry && c.Shards <= 1:
+		return fmt.Errorf("fleet: Telemetry needs Shards > 1 (got %d): the serial engine has no wall-clock attribution", c.Shards)
 	case c.RequestsPerDisk < 1:
 		return fmt.Errorf("fleet: RequestsPerDisk = %d", c.RequestsPerDisk)
 	case c.ReplicationFactor < 1 || c.ReplicationFactor > c.NumDisks/c.NumRacks:

@@ -63,7 +63,7 @@ func TestFleetShardInvariant(t *testing.T) {
 
 // TestFleetValidate pins the topology constraints: racks divide disks,
 // shards divide racks (a rack never straddles a shard), replication fits
-// in a rack.
+// in a rack, and telemetry is only armed on the sharded kernel.
 func TestFleetValidate(t *testing.T) {
 	t.Parallel()
 	base := smallFleetConfig() // 240 disks, 12 racks, rf 3
@@ -84,6 +84,9 @@ func TestFleetValidate(t *testing.T) {
 		{"rf zero", func(c *FleetConfig) { c.ReplicationFactor = 0 }, false},
 		{"no requests", func(c *FleetConfig) { c.RequestsPerDisk = 0 }, false},
 		{"no gap", func(c *FleetConfig) { c.IdleGap = 0 }, false},
+		{"telemetry sharded", func(c *FleetConfig) { c.Shards, c.Telemetry = 4, true }, true},
+		{"telemetry serial", func(c *FleetConfig) { c.Shards, c.Telemetry = 1, true }, false},
+		{"telemetry default serial", func(c *FleetConfig) { c.Shards, c.Telemetry = 0, true }, false},
 	} {
 		cfg := base
 		tc.mutate(&cfg)

@@ -1,15 +1,11 @@
 package storage
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/account"
 	"repro/internal/core"
-	"repro/internal/diskmodel"
 	"repro/internal/obs"
-	"repro/internal/offline"
 	"repro/internal/sched"
 	"repro/internal/simkernel"
 )
@@ -22,61 +18,25 @@ import (
 // plumbing of the batch runners, so a serving run's event log and energy
 // accounting are indistinguishable from a batch run's.
 //
-// A Live system is single-goroutine like the underlying kernel: the caller
-// must serialize all method calls. The lifecycle is
+// Live systems are the shards of a LiveSet. A Live system is
+// single-goroutine like the underlying kernel: the caller must serialize
+// all method calls. The lifecycle is
 //
-//	lv := NewLive(cfg, opts...)
+//	ls, err := NewLiveSet(cfg, loc, 1, false, opts...)
+//	lv := ls.Shard(0)
 //	for each request r:
 //	    lv.Advance(r.Arrival)        // fire completions and spin-downs
 //	    lv.Arrive(r)                 // emit the arrival event
+//	    base := lv.DecisionBase()
 //	    d := scheduler.Schedule(r, lv.View())
-//	    lv.Dispatch(r, d, loc, dec)  // or lv.Drop(r) / lv.Reject(r)
-//	lv.Finish(name)                  // drain, settle, reconcile, report
+//	    lv.Dispatch(r, d, base)      // or lv.Drop(r)
+//	ls.Finish(name)                  // drain, settle, reconcile, report
 type Live struct {
-	sys  *system
-	opts runOptions
-	loc  sched.Locator
-	// ingested counts requests that produced an Arrive event; Finish
+	sys *system
+	loc sched.Locator
+	// ingested counts requests that produced an Arrive event; LiveSet.Finish
 	// cross-checks served+dropped against it exactly as the batch path does.
 	ingested int
-	finished bool
-}
-
-// NewLive builds a streaming system. The same RunOptions as RunOnline apply
-// (tracer, collector, monitor, state log); failure injection and caches are
-// batch-run features and are rejected here.
-func NewLive(cfg Config, loc sched.Locator, opts ...RunOption) (*Live, error) {
-	if loc == nil {
-		return nil, errors.New("storage: nil locator")
-	}
-	o := applyOptions(opts)
-	if len(o.failures) > 0 {
-		return nil, errors.New("storage: failure injection is not supported on a Live system")
-	}
-	if o.cache != nil {
-		return nil, errors.New("storage: caches are not supported on a Live system")
-	}
-	if cfg.Shards > 1 {
-		// The sharded kernel's span protocol assumes a preloaded horizon; a
-		// Live system is fed incrementally and runs the serial engine.
-		return nil, errors.New("storage: a Live system runs the serial kernel (Shards must be 0 or 1)")
-	}
-	s, err := newSystem(cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	return &Live{sys: s, opts: o, loc: loc}, nil
-}
-
-// newLiveRange builds one serving shard's streaming facade: a sub-range
-// system over the global disks [base, base+count) whose emissions land in
-// jr (see LiveSet). The caller owns validation of the option set.
-func newLiveRange(cfg Config, loc sched.Locator, o runOptions, base, count int, jr *shardJournal) (*Live, error) {
-	s, err := newSystemRange(cfg, o, base, count, jr)
-	if err != nil {
-		return nil, err
-	}
-	return &Live{sys: s, opts: o, loc: loc}, nil
 }
 
 // View returns the scheduler's read-only window onto the running system
@@ -97,12 +57,12 @@ func (l *Live) Advance(t time.Duration) {
 }
 
 // Err returns the first internal simulation error, if any. Once set, the
-// system is poisoned and Finish will return it.
+// system is poisoned and LiveSet.Finish will return it.
 func (l *Live) Err() error { return l.sys.err }
 
 // Arrive records a request's arrival at the current virtual time. Every
 // Arrive must be balanced by exactly one Dispatch or Drop so request
-// conservation holds at Finish.
+// conservation holds at LiveSet.Finish.
 func (l *Live) Arrive(r core.Request) {
 	l.ingested++
 	l.sys.tr.Arrive(l.sys.eng.Now(), r.ID, r.Block)
@@ -141,13 +101,7 @@ func (l *Live) EndRequest() {
 // submits the request to its disk. base is the DecisionBase captured before
 // the scheduler ran (0 for untraced schedulers).
 func (l *Live) Dispatch(r core.Request, d core.DiskID, base uint64) {
-	if l.sys.rm != nil {
-		l.sys.rm.Decisions.Inc()
-	}
-	if l.sys.jr != nil {
-		l.sys.jr.decision()
-	}
-	l.sys.dispatch(r, d, l.loc, l.sys.lastDecision(base))
+	l.DispatchDecision(r, d, l.sys.lastDecision(base))
 }
 
 // DispatchDecision submits the request with an explicit decision ID —
@@ -168,21 +122,8 @@ func (l *Live) DispatchDecision(r core.Request, d core.DiskID, dec obs.DecisionI
 // rejected by serving policy after admission, e.g. a deadline expiry).
 func (l *Live) Drop(r core.Request) { l.sys.drop(r) }
 
-// Outstanding returns the number of requests queued or in service across
-// all disks.
-func (l *Live) Outstanding() int {
-	n := 0
-	for _, d := range l.sys.disks {
-		n += d.Load()
-	}
-	return n
-}
-
 // Served returns the number of completed requests so far.
 func (l *Live) Served() int { return l.sys.served }
-
-// Ingested returns the number of Arrive calls so far.
-func (l *Live) Ingested() int { return l.ingested }
 
 // Fired returns the kernel's executed-event count.
 func (l *Live) Fired() uint64 { return l.sys.eng.Fired() }
@@ -229,129 +170,6 @@ func (l *Live) Snapshot() []DiskSnapshot {
 			SpinUps:   st.SpinUps,
 			SpinDowns: st.SpinDowns,
 		}
-	}
-	return out
-}
-
-// Finish drains the system — every outstanding request completes, trailing
-// idle timeouts and spin-downs settle — closes the disks, reconciles the
-// metrics export to the exact meter totals and returns the run result. The
-// horizon extends at least one replacement window past the last event so
-// always-on normalization matches the batch runners' convention.
-func (l *Live) Finish(name string) (*Result, error) {
-	if l.finished {
-		return nil, errors.New("storage: Finish called twice on a Live system")
-	}
-	l.finished = true
-	s := l.sys
-	if s.err != nil {
-		return nil, s.err
-	}
-	// Drain: keep stepping while disks hold work, then settle the trailing
-	// idle timeouts and spin-downs, mirroring system.finish's late-completion
-	// loop.
-	for s.err == nil && l.Outstanding() > 0 {
-		if !s.eng.Step() {
-			break
-		}
-	}
-	if s.err != nil {
-		return nil, s.err
-	}
-	end := s.eng.Now() + s.cfg.Power.Breakeven() + s.cfg.Power.SpinDownTime + time.Second
-	end = s.eng.RunUntil(end)
-	if s.err != nil {
-		return nil, s.err
-	}
-	res := &Result{
-		Scheduler: name,
-		Served:    s.served,
-		Dropped:   s.dropped,
-		Horizon:   end,
-		Response:  s.resp,
-		PerDisk:   make([]diskmodel.Stats, len(s.disks)),
-	}
-	for i, d := range s.disks {
-		st := d.Close()
-		res.PerDisk[i] = st
-		res.Energy += st.Energy
-		res.SpinUps += st.SpinUps
-		res.SpinDowns += st.SpinDowns
-		for ps := core.StateStandby; ps <= core.StateSpinDown; ps++ {
-			res.EnergyByState[ps] += st.EnergyIn[ps]
-		}
-	}
-	res.AlwaysOnEnergy = offline.AlwaysOnEnergy(s.cfg.Power, s.cfg.NumDisks, end)
-	s.tr.RunEnd(end, s.eng.Fired())
-	if s.acct != nil {
-		// Mirror system.finish: close the carbon/cost accounting at the
-		// horizon and pin its windowed integral to the meters.
-		s.acct.Finalize()
-		if s.mon != nil {
-			s.mon.VerifyWindows(s.acct.ByState(), res.EnergyByState)
-		}
-	}
-	if s.mon != nil {
-		s.mon.VerifyResult(res.EnergyByState)
-		s.mon.Finish()
-	}
-	if s.rm != nil {
-		s.rm.ReconcileEnergy(res.EnergyByState)
-		s.rm.SpinUps.Reconcile(float64(res.SpinUps))
-		s.rm.SpinDowns.Reconcile(float64(res.SpinDowns))
-		s.rm.Served.Reconcile(float64(res.Served))
-		s.rm.Dropped.Reconcile(float64(res.Dropped))
-		s.rm.SimTime.Set(end.Seconds())
-		s.rm.EventsFired.Set(float64(s.eng.Fired()))
-	}
-	if s.tr != nil {
-		if err := s.tr.Flush(); err != nil {
-			return nil, fmt.Errorf("storage: event sink: %w", err)
-		}
-	}
-	if want := l.ingested - s.dropped; s.served != want {
-		return nil, fmt.Errorf("storage: served %d of %d ingested requests", s.served, want)
-	}
-	return res, nil
-}
-
-// The methods below decompose Finish into the phases LiveSet's two-phase
-// drain needs: every shard drains its outstanding work first (the global
-// settle horizon is the maximum of the post-drain clocks, matching the
-// serial engine's stop time), then each shard settles to that shared
-// horizon and closes its disks.
-
-// DrainOutstanding steps the kernel until no disk holds queued or
-// in-service work (or the event queue empties, or the system fails).
-func (l *Live) DrainOutstanding() error {
-	s := l.sys
-	for s.err == nil && l.Outstanding() > 0 {
-		if !s.eng.Step() {
-			break
-		}
-	}
-	return s.err
-}
-
-// SettleUntil runs the kernel to the shared horizon, firing trailing idle
-// timeouts and spin-downs, and leaves the clock there.
-func (l *Live) SettleUntil(end time.Duration) error {
-	s := l.sys
-	if end > s.eng.Now() {
-		s.eng.RunUntil(end)
-	}
-	return s.err
-}
-
-// CloseDisks closes every disk in range order, emitting their end-of-run
-// accounting events through the system's tracer, and returns their final
-// stats (index i is global disk base+i). The system must be drained and
-// settled; no further simulation may run after this.
-func (l *Live) CloseDisks() []diskmodel.Stats {
-	l.finished = true
-	out := make([]diskmodel.Stats, len(l.sys.disks))
-	for i, d := range l.sys.disks {
-		out[i] = d.Close()
 	}
 	return out
 }

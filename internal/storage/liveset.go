@@ -6,12 +6,10 @@ import (
 	"time"
 
 	"repro/internal/account"
-	"repro/internal/core"
 	"repro/internal/diskmodel"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/offline"
 	"repro/internal/sched"
 	"repro/internal/simkernel"
 )
@@ -30,15 +28,14 @@ import (
 // caller must serialize all calls into one shard. Different shards are
 // independent. Flush, SetGauges and Finish run on one goroutine at a time.
 //
-// With shards == 1 the set degenerates to a single full-range Live wired
-// directly to the run options — no journal, no merge, no overhead over
-// NewLive.
+// With shards == 1 the set holds a single full-range Live wired directly
+// to the run options — no journal, no merge — and Finish settles it the
+// same way it settles N shards.
 type LiveSet struct {
 	cfg      Config
 	loc      sched.Locator
 	opts     runOptions
 	shards   []*Live
-	bases    []int
 	journals []*shardJournal // nil when not journaling
 	m        *merger
 	resp     metrics.ResponseTimes // canonical samples (journaling mode)
@@ -49,10 +46,11 @@ type LiveSet struct {
 // shards. canonical forces journaling even without observers attached, so
 // response samples accumulate in global arrival order (Sequential mode
 // wants this; Live mode can skip it and concatenate per-shard samples at
-// Finish). The same RunOptions as NewLive apply, with the same
-// restrictions; any attached observer (tracer, collector, monitor,
-// accounting, flight, state log) switches the set to journaling mode,
-// since those surfaces are single-stream by contract.
+// Finish). The same RunOptions as RunOnline apply (tracer, collector,
+// monitor, accounting, flight, state log); failure injection and caches
+// are batch-run features and are rejected. With more than one shard any
+// attached observer switches the set to journaling mode, since those
+// surfaces are single-stream by contract.
 func NewLiveSet(cfg Config, loc sched.Locator, shards int, canonical bool, opts ...RunOption) (*LiveSet, error) {
 	if loc == nil {
 		return nil, errors.New("storage: nil locator")
@@ -65,6 +63,8 @@ func NewLiveSet(cfg Config, loc sched.Locator, shards int, canonical bool, opts 
 		return nil, errors.New("storage: caches are not supported on a Live system")
 	}
 	if cfg.Shards > 1 {
+		// The sharded kernel's span protocol assumes a preloaded horizon; a
+		// Live system is fed incrementally and runs the serial engine.
 		return nil, errors.New("storage: a Live system runs the serial kernel (Shards must be 0 or 1)")
 	}
 	if shards <= 0 {
@@ -73,16 +73,8 @@ func NewLiveSet(cfg Config, loc sched.Locator, shards int, canonical bool, opts 
 	if shards > cfg.NumDisks {
 		return nil, fmt.Errorf("storage: %d serving shards exceed %d disks", shards, cfg.NumDisks)
 	}
-	ls := &LiveSet{cfg: cfg, loc: loc, opts: o, bases: make([]int, shards)}
-	if shards == 1 {
-		lv, err := newLiveRange(cfg, loc, o, 0, cfg.NumDisks, nil)
-		if err != nil {
-			return nil, err
-		}
-		ls.shards = []*Live{lv}
-		return ls, nil
-	}
-	journaling := canonical || o.tracer != nil || o.collector != nil || o.stateLog != nil
+	ls := &LiveSet{cfg: cfg, loc: loc, opts: o}
+	journaling := shards > 1 && (canonical || o.tracer != nil || o.collector != nil || o.stateLog != nil)
 	if journaling {
 		ls.journals = make([]*shardJournal, shards)
 		// A dispatch-caused spin-up settles within the spin-up time, and no
@@ -94,10 +86,13 @@ func NewLiveSet(cfg Config, loc sched.Locator, shards int, canonical bool, opts 
 	ls.shards = make([]*Live, shards)
 	for i := range ls.shards {
 		base, count := simkernel.ShardRange(cfg.NumDisks, shards, i)
-		ls.bases[i] = base
 		var jr *shardJournal
 		so := runOptions{}
-		if journaling {
+		switch {
+		case shards == 1:
+			// A single shard emits straight into the run's observers.
+			so = o
+		case journaling:
 			jr = &shardJournal{idx: uint64(i)}
 			if o.tracer != nil {
 				// The relay captures the shard's emissions in journal order;
@@ -109,11 +104,11 @@ func NewLiveSet(cfg Config, loc sched.Locator, shards int, canonical bool, opts 
 			}
 			ls.journals[i] = jr
 		}
-		lv, err := newLiveRange(cfg, loc, so, base, count, jr)
+		sys, err := newSystemRange(cfg, so, base, count, jr)
 		if err != nil {
 			return nil, err
 		}
-		ls.shards[i] = lv
+		ls.shards[i] = &Live{sys: sys, loc: loc}
 	}
 	return ls, nil
 }
@@ -211,103 +206,72 @@ func (ls *LiveSet) KernelStats() *simkernel.KernelStats {
 
 // Finish drains every shard, settles the fleet to a shared horizon,
 // closes the disks, replays any remaining journal, and reconciles the
-// merged result — the sharded equivalent of Live.Finish, producing the
-// same Result a serial run over the same admission order would. All
-// shards must be exclusively owned by the calling goroutine.
+// merged result, producing the same Result a serial run over the same
+// admission order would. A second call returns an error. All shards must
+// be exclusively owned by the calling goroutine.
 func (ls *LiveSet) Finish(name string) (*Result, error) {
-	if len(ls.shards) == 1 {
-		return ls.shards[0].Finish(name)
-	}
 	if ls.finished {
 		return nil, errors.New("storage: Finish called twice on a LiveSet")
 	}
 	ls.finished = true
+	// One shard emits straight into the run's observers; N shards journal
+	// and the merger applies their records to the same observers.
+	ob := ls.shards[0].sys.observers
+	if ls.m != nil {
+		ob = observers{tr: ls.m.tr, mon: ls.opts.monitor, acct: ls.opts.acct, rm: ls.m.rm}
+	}
 	// Phase one: drain each shard's outstanding work independently. The
 	// shards share no disks, so the serial engine's stop time — the instant
 	// the last outstanding request completes — is the maximum of the
 	// per-shard post-drain clocks.
+	var end time.Duration
 	for _, lv := range ls.shards {
-		if err := lv.DrainOutstanding(); err != nil {
-			return nil, err
+		s := lv.sys
+		if s.drain(); s.err != nil {
+			return nil, ls.abort(ob.tr, s.err)
 		}
+		end = max(end, s.eng.Now())
 	}
-	var maxNow time.Duration
-	for _, lv := range ls.shards {
-		if n := lv.Now(); n > maxNow {
-			maxNow = n
-		}
-	}
-	end := maxNow + ls.cfg.Power.Breakeven() + ls.cfg.Power.SpinDownTime + time.Second
+	end += settleTail(ls.cfg.Power)
 	// Phase two: settle every shard to the shared horizon, then close the
-	// disks (their end-of-run events land in the journals) and merge.
+	// disks in global order (with N shards their end-of-run events land in
+	// the journals) and merge.
 	for _, lv := range ls.shards {
-		if err := lv.SettleUntil(end); err != nil {
-			return nil, err
+		s := lv.sys
+		if s.eng.RunUntil(end); s.err != nil {
+			return nil, ls.abort(ob.tr, s.err)
 		}
 	}
-	res := &Result{
-		Scheduler: name,
-		Horizon:   end,
-		PerDisk:   make([]diskmodel.Stats, ls.cfg.NumDisks),
-	}
+	res := &Result{Scheduler: name, PerDisk: make([]diskmodel.Stats, 0, ls.cfg.NumDisks)}
 	ingested := 0
 	var fired uint64
-	for i, lv := range ls.shards {
-		stats := lv.CloseDisks()
-		copy(res.PerDisk[ls.bases[i]:], stats)
-		res.Served += lv.Served()
-		res.Dropped += lv.Dropped()
-		ingested += lv.Ingested()
-		fired += lv.Fired()
+	for _, lv := range ls.shards {
+		s := lv.sys
+		res.PerDisk = s.closeDisks(res.PerDisk)
+		res.Served += s.served
+		res.Dropped += s.dropped
+		ingested += lv.ingested
+		fired += s.eng.Fired()
 	}
-	if ls.m != nil {
+	switch {
+	case ls.m != nil:
 		ls.m.merge(ls.journals, -1)
 		res.Response = ls.resp
-	} else {
+	case len(ls.shards) == 1:
+		res.Response = ls.shards[0].sys.resp
+	default:
 		for _, lv := range ls.shards {
 			res.Response.Append(&lv.sys.resp)
 		}
 	}
-	// Accumulate energy in global disk order so float summation matches the
-	// serial path bit for bit.
-	for _, st := range res.PerDisk {
-		res.Energy += st.Energy
-		res.SpinUps += st.SpinUps
-		res.SpinDowns += st.SpinDowns
-		for ps := core.StateStandby; ps <= core.StateSpinDown; ps++ {
-			res.EnergyByState[ps] += st.EnergyIn[ps]
-		}
+	return settle(ls.cfg, ob, res, end, fired, ingested-res.Dropped)
+}
+
+// abort ends a failed run: whatever the shards journaled is merged and the
+// event log flushed, so the events around the failure reach the sink.
+func (ls *LiveSet) abort(tr *obs.Tracer, err error) error {
+	if ls.m != nil {
+		ls.m.merge(ls.journals, -1)
 	}
-	res.AlwaysOnEnergy = offline.AlwaysOnEnergy(ls.cfg.Power, ls.cfg.NumDisks, end)
-	o := ls.opts
-	o.tracer.RunEnd(end, fired)
-	if o.acct != nil {
-		o.acct.Finalize()
-		if o.monitor != nil {
-			o.monitor.VerifyWindows(o.acct.ByState(), res.EnergyByState)
-		}
-	}
-	if o.monitor != nil {
-		o.monitor.VerifyResult(res.EnergyByState)
-		o.monitor.Finish()
-	}
-	if ls.m != nil && ls.m.rm != nil {
-		rm := ls.m.rm
-		rm.ReconcileEnergy(res.EnergyByState)
-		rm.SpinUps.Reconcile(float64(res.SpinUps))
-		rm.SpinDowns.Reconcile(float64(res.SpinDowns))
-		rm.Served.Reconcile(float64(res.Served))
-		rm.Dropped.Reconcile(float64(res.Dropped))
-		rm.SimTime.Set(end.Seconds())
-		rm.EventsFired.Set(float64(fired))
-	}
-	if o.tracer != nil {
-		if err := o.tracer.Flush(); err != nil {
-			return nil, fmt.Errorf("storage: event sink: %w", err)
-		}
-	}
-	if want := ingested - res.Dropped; res.Served != want {
-		return nil, fmt.Errorf("storage: served %d of %d ingested requests", res.Served, want)
-	}
-	return res, nil
+	return flushEvents(tr, err)
 }

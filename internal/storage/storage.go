@@ -106,9 +106,20 @@ type Result struct {
 // NormalizedEnergy returns Energy / AlwaysOnEnergy (Figure 6's y-axis).
 func (r *Result) NormalizedEnergy() float64 { return r.Energy / r.AlwaysOnEnergy }
 
+// observers are the consumers a run settles at its end: the event log,
+// the doctor, the carbon/cost accountant and the metrics catalog. Any of
+// them may be nil.
+type observers struct {
+	tr   *obs.Tracer
+	mon  *monitor.Suite
+	acct *account.Accumulator
+	rm   *obs.RunMetrics
+}
+
 // system wires an engine, disks and metrics together and implements
 // sched.View.
 type system struct {
+	observers
 	cfg Config
 	eng simkernel.Kernel
 	// base is the global ID of disks[0]: a full system has base 0, a
@@ -118,11 +129,7 @@ type system struct {
 	serial       simkernel.Engine // backs eng on the serial (Shards <= 1) path
 	disks        []*diskmodel.Disk
 	resp         metrics.ResponseTimes
-	tr           *obs.Tracer
-	rm           *obs.RunMetrics
 	jr           *shardJournal // canonical-order capture for sub-range systems
-	mon          *monitor.Suite
-	acct         *account.Accumulator
 	err          error
 	served       int
 	dropped      int
@@ -158,7 +165,13 @@ func newSystemRange(cfg Config, o runOptions, base, count int, jr *shardJournal)
 	if policy == nil {
 		policy = power.TwoCompetitive{Config: cfg.Power}
 	}
-	s := &system{cfg: cfg, base: base, disks: make([]*diskmodel.Disk, count), tr: o.tracer, jr: jr, mon: o.monitor, acct: o.acct}
+	s := &system{
+		observers: observers{tr: o.tracer, mon: o.monitor, acct: o.acct},
+		cfg:       cfg,
+		base:      base,
+		disks:     make([]*diskmodel.Disk, count),
+		jr:        jr,
+	}
 	var se *simkernel.Sharded
 	if cfg.Shards > 1 {
 		se = simkernel.NewSharded(cfg.NumDisks, cfg.Shards, 0)
@@ -347,37 +360,54 @@ func (s *system) lastDecision(base uint64) obs.DecisionID {
 	return 0
 }
 
+// drain steps the kernel while any disk holds queued or in-service work,
+// stopping early when the event queue empties or the run fails. It reports
+// whether it stepped at all.
+func (s *system) drain() bool {
+	stepped := false
+	for s.err == nil && s.outstanding() > 0 && s.eng.Step() {
+		stepped = true
+	}
+	return stepped
+}
+
+// outstanding returns the number of requests queued or in service.
+func (s *system) outstanding() int {
+	n := 0
+	for _, d := range s.disks {
+		n += d.Load()
+	}
+	return n
+}
+
+// closeDisks closes every disk in range order — each emits its end-of-run
+// accounting event — and appends their final stats to dst. No further
+// simulation may run afterwards.
+func (s *system) closeDisks(dst []diskmodel.Stats) []diskmodel.Stats {
+	for _, d := range s.disks {
+		dst = append(dst, d.Close())
+	}
+	return dst
+}
+
+// settleTail is how long a drained run keeps going so the trailing idle
+// timeouts and spin-downs settle inside the horizon.
+func settleTail(p power.Config) time.Duration {
+	return p.Breakeven() + p.SpinDownTime + time.Second
+}
+
 // finish drains the engine up to the workload horizon (not beyond it for
 // administrative events such as distant repairs), extends accounting to
 // the normalization horizon, and collects results.
 func (s *system) finish(name string, reqs []core.Request) (*Result, error) {
 	end := s.eng.RunUntil(offline.Horizon(reqs, s.cfg.Power))
-	if s.err != nil {
-		return nil, s.err
-	}
-	// Late completions: keep stepping while disks still hold work (long
-	// queues can outlive the nominal horizon), then let the trailing idle
-	// timeouts and spin-downs settle.
-	stepped := false
-	for s.err == nil {
-		outstanding := 0
-		for _, d := range s.disks {
-			outstanding += d.Load()
-		}
-		if outstanding == 0 {
-			break
-		}
-		if !s.eng.Step() {
-			break
-		}
-		stepped = true
+	// Late completions: long queues can outlive the nominal horizon. Once
+	// they complete, let the trailing idle timeouts and spin-downs settle.
+	if s.drain() && s.err == nil && s.eng.Now() > end {
+		end = s.eng.RunUntil(s.eng.Now() + settleTail(s.cfg.Power))
 	}
 	if s.err != nil {
-		return nil, s.err
-	}
-	if stepped && s.eng.Now() > end {
-		tail := s.cfg.Power.Breakeven() + s.cfg.Power.SpinDownTime + time.Second
-		end = s.eng.RunUntil(s.eng.Now() + tail)
+		return nil, flushEvents(s.tr, s.err)
 	}
 	res := &Result{
 		Scheduler:    name,
@@ -386,13 +416,22 @@ func (s *system) finish(name string, reqs []core.Request) (*Result, error) {
 		Unavailable:  s.unavailable,
 		Redispatched: s.redispatched,
 		CacheHits:    s.cacheHits,
-		Horizon:      end,
 		Response:     s.resp,
-		PerDisk:      make([]diskmodel.Stats, len(s.disks)),
+		PerDisk:      s.closeDisks(make([]diskmodel.Stats, 0, len(s.disks))),
 	}
-	for i, d := range s.disks {
-		st := d.Close()
-		res.PerDisk[i] = st
+	return settle(s.cfg, s.observers, res, end, s.eng.Fired(), len(reqs)-s.dropped)
+}
+
+// settle completes a run whose disks are closed. res carries the
+// scheduler name, the request outcomes, the response samples and the
+// per-disk stats in global disk order; settle sums energy in that order, so
+// totals match bit for bit however the fleet was partitioned. It then
+// emits run-end, closes the accounting, runs the doctor's end checks,
+// reconciles the metrics export, flushes the event log and checks request
+// conservation: want requests must have been served.
+func settle(cfg Config, ob observers, res *Result, end time.Duration, fired uint64, want int) (*Result, error) {
+	res.Horizon = end
+	for _, st := range res.PerDisk {
 		res.Energy += st.Energy
 		res.SpinUps += st.SpinUps
 		res.SpinDowns += st.SpinDowns
@@ -400,47 +439,55 @@ func (s *system) finish(name string, reqs []core.Request) (*Result, error) {
 			res.EnergyByState[ps] += st.EnergyIn[ps]
 		}
 	}
-	res.AlwaysOnEnergy = offline.AlwaysOnEnergy(s.cfg.Power, s.cfg.NumDisks, end)
-	// The disks' "end" events (emitted by Close above, in disk order) plus
+	res.AlwaysOnEnergy = offline.AlwaysOnEnergy(cfg.Power, cfg.NumDisks, end)
+	// The disks' "end" events (emitted when they closed, in disk order) plus
 	// this run-end marker make the log self-contained: a replay recovers the
 	// horizon, the kernel event count and the exact meter totals.
-	s.tr.RunEnd(end, s.eng.Fired())
-	if s.acct != nil {
+	ob.tr.RunEnd(end, fired)
+	if ob.acct != nil {
 		// Close the carbon/cost accounting at the horizon (reconciling any
 		// bound metric families) and pin its windowed integral to the meters.
-		s.acct.Finalize()
-		if s.mon != nil {
-			s.mon.VerifyWindows(s.acct.ByState(), res.EnergyByState)
+		ob.acct.Finalize()
+		if ob.mon != nil {
+			ob.mon.VerifyWindows(ob.acct.ByState(), res.EnergyByState)
 		}
 	}
-	if s.mon != nil {
+	if ob.mon != nil {
 		// The stream is complete: cross-check the meters' totals against the
 		// live integral, then run the suite's end-of-stream checks.
-		s.mon.VerifyResult(res.EnergyByState)
-		s.mon.Finish()
+		ob.mon.VerifyResult(res.EnergyByState)
+		ob.mon.Finish()
 	}
-	if s.rm != nil {
+	if rm := ob.rm; rm != nil {
 		// Overwrite the live approximations with the authoritative end-of-run
 		// values so exporter output matches the report aggregates exactly.
-		s.rm.ReconcileEnergy(res.EnergyByState)
-		s.rm.SpinUps.Reconcile(float64(res.SpinUps))
-		s.rm.SpinDowns.Reconcile(float64(res.SpinDowns))
-		s.rm.Served.Reconcile(float64(res.Served))
-		s.rm.Dropped.Reconcile(float64(res.Dropped))
-		s.rm.Redispatched.Reconcile(float64(res.Redispatched))
-		s.rm.CacheHits.Reconcile(float64(res.CacheHits))
-		s.rm.SimTime.Set(end.Seconds())
-		s.rm.EventsFired.Set(float64(s.eng.Fired()))
+		rm.ReconcileEnergy(res.EnergyByState)
+		rm.SpinUps.Reconcile(float64(res.SpinUps))
+		rm.SpinDowns.Reconcile(float64(res.SpinDowns))
+		rm.Served.Reconcile(float64(res.Served))
+		rm.Dropped.Reconcile(float64(res.Dropped))
+		rm.Redispatched.Reconcile(float64(res.Redispatched))
+		rm.CacheHits.Reconcile(float64(res.CacheHits))
+		rm.SimTime.Set(end.Seconds())
+		rm.EventsFired.Set(float64(fired))
 	}
-	if s.tr != nil {
-		if err := s.tr.Flush(); err != nil {
-			return nil, fmt.Errorf("storage: event sink: %w", err)
-		}
+	if err := flushEvents(ob.tr, nil); err != nil {
+		return nil, err
 	}
-	if want := len(reqs) - s.dropped; s.served != want {
-		return nil, fmt.Errorf("storage: served %d of %d requests", s.served, want)
+	if res.Served != want {
+		return nil, fmt.Errorf("storage: served %d of %d requests", res.Served, want)
 	}
 	return res, nil
+}
+
+// flushEvents drains the event log to its sink and returns err, or the
+// sink's error when err is nil. Failed runs flush too: the events around a
+// failure are the ones its log is read for.
+func flushEvents(tr *obs.Tracer, err error) error {
+	if ferr := tr.Flush(); ferr != nil && err == nil {
+		err = fmt.Errorf("storage: event sink: %w", ferr)
+	}
+	return err
 }
 
 // ReadCache absorbs read requests before they reach the scheduler. Access
